@@ -4,8 +4,9 @@ report.
 Reports are JSON by default with a fixed key order, field elements appear
 as integer indices, and each report carries the field description (p, h,
 modulus coefficients ascending) so it is self-describing.  Identical
-configuration, including --seed, produces byte-identical output; all
-underlying operations are pure, so --workers never changes report content.
+configuration, including --seed, produces byte-identical output.  Every
+subcommand accepts --workers and ignores it: every check runs in one
+process.
 
 Exit status: 0 when every checked claim is verified, 1 when a claim is
 violated, 2 on usage errors (including claims refused at the given order).
@@ -32,14 +33,25 @@ class UsageError(Exception):
 def _prime_power(n: int):
     for p in range(2, n + 1):
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
+            rest, e = n, 0
+            while rest % p == 0:
+                rest //= p
                 e += 1
-            if n != 1 or not is_prime(p):
+            if rest != 1 or not is_prime(p):
                 raise UsageError(f"{n} is not a prime power")
             return p, e
     raise UsageError("order must be at least 2")
+
+
+def _element(F: GF, value: int, option: str) -> int:
+    """A field element given on the command line, refused unless in 0..n-1."""
+    if not 0 <= value < F.order:
+        raise UsageError(f"{option} {value} is not a field element (0..{F.order - 1})")
+    return value
+
+
+def _conic_arg(F: GF, text: str, option: str) -> Conic:
+    return Conic(F, tuple(_element(F, int(c), option) for c in text.split(",")))
 
 
 def field_from_args(args, need_square=False) -> GF:
@@ -194,30 +206,18 @@ def run_nucleus() -> dict:
     return {"claim": "nucleus", "orders": orders, "ovals_checked": total, "ok": ok}
 
 
-def run_cone_residual_case(
-    F: GF, case: int, k: int | None, workers: int, full: bool, seed: int = 0
-) -> dict:
-    """Oracle sweep against the closed-form residual lists for one case.
-
-    Up to plane order 25 the oracle is the full PG(5,n) sweep; beyond that
-    it verifies the closed-form candidates plus a seeded random sample of
-    the space, and the report records the restricted mode.
-    """
+def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
+    """Exact cone residuals against the closed-form residual lists for one
+    case, at every order: each residual is the intersection of the two
+    directly built cones, so it covers all of PG(5,n) ("sweep": "full")."""
     alpha = min(F.nonsquares())
     ks = analysis.admissible_ks(F, case, alpha) if k is None else [k]
-    space = projective_space(F, 5)
-    full_sweep = space.npoints <= 11_000_000
     entries = []
     ok = True
     for kk in ks:
         C, D = analysis.canonical_case_pair(F, case, kk, alpha)
         closed = analysis.case_residual_formula(F, case, kk, alpha)
-        if full_sweep:
-            res = veronese.cone_residual_intersection(C, D, method="scan", workers=workers)
-        else:
-            res = veronese.cone_residual_intersection(
-                C, D, method="sampled", samples=100_000, seed=seed, extra_candidates=closed
-            )
+        res = veronese.cone_residual_intersection(C, D)
         match = res == closed
         ok = ok and match
         entry = {"k": kk, "residual_size": len(res), "matches_closed_form": match}
@@ -232,7 +232,7 @@ def run_cone_residual_case(
         "field": F.describe(),
         "case": case,
         "alpha": alpha if case == 2 else None,
-        "sweep": "full" if full_sweep else "sampled",
+        "sweep": "full",
         "ks": ks,
         "pairs": entries,
     }
@@ -251,7 +251,7 @@ def run_cone_residual_case(
     return out
 
 
-def run_main_claim(F: GF, workers: int) -> dict:
+def run_main_claim(F: GF) -> dict:
     q = unital_q(F)
     out = {"claim": "main", "field": F.describe(), "q": q}
     H = hermitian_unital(F)
@@ -266,17 +266,19 @@ def run_main_claim(F: GF, workers: int) -> dict:
         out["ok"] = not cert.conics and not cert.covered
         return out
     B, bconics = behs_unital(F)
-    got = analysis.conics_contained(B, method="pencil")
+    # a unital has a unique tangent at every point, so each certificate
+    # lists its conics from the pencil search
+    cert_b = analysis.certify_union_of_conics(B)
+    got = cert_b.conics
     behs_exact = sorted(C.coeffs for C in got) == sorted(C.coeffs for C in bconics)
     cross_ok = None
     if F.order <= 25:
         cross_ok = analysis.conics_contained(B, method="exhaustive") == got
-    cert_b = analysis.certify_union_of_conics(B)
-    got_h = analysis.conics_contained(H, method="pencil")
+    cert_h = analysis.certify_union_of_conics(H)
+    got_h = cert_h.conics
     cross_h = None
     if F.order <= 25:
         cross_h = analysis.conics_contained(H, method="exhaustive") == got_h
-    cert_h = analysis.certify_union_of_conics(H)
     out["behs"] = {
         "cardinality": B.card,
         "construction_conics": len(bconics),
@@ -359,10 +361,17 @@ def _build_set(args, F: GF):
         data = json.load(sys.stdin) if args.points == "-" else json.load(open(args.points))
         from .geom import PointSet
 
-        return PointSet.from_indices(projective_plane(F), data), None
+        plane = projective_plane(F)
+        if not isinstance(data, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) and 0 <= i < plane.npoints for i in data
+        ):
+            raise UsageError(f"--points must be a JSON list of point indices in 0..{plane.npoints - 1}")
+        return PointSet.from_indices(plane, data), None
     if args.kind == "hermitian":
         return hermitian_unital(F), None
     t = getattr(args, "t", None)
+    if t is not None:
+        _element(F, t, "--t")
     S, conics = behs_unital(F, t)
     return S, conics
 
@@ -414,12 +423,12 @@ def cmd_enum_conics(args) -> int:
 def cmd_classify_pair(args) -> int:
     F = field_from_args(args)
     if args.conic and args.conic2:
-        C = Conic(F, tuple(int(c) for c in args.conic.split(",")))
-        D = Conic(F, tuple(int(c) for c in args.conic2.split(",")))
+        C = _conic_arg(F, args.conic, "--conic")
+        D = _conic_arg(F, args.conic2, "--conic2")
     elif args.case is not None and args.k is not None:
-        C, D = analysis.canonical_case_pair(F, args.case, args.k)
+        C, D = analysis.canonical_case_pair(F, args.case, _element(F, args.k, "--k"))
         if args.k2 is not None:
-            D = analysis.canonical_case_pair(F, args.case, args.k2)[1]
+            D = analysis.canonical_case_pair(F, args.case, _element(F, args.k2, "--k2"))[1]
     else:
         raise UsageError("give --conic/--conic2 or --case with --k")
     rep = analysis.classify_pair(C, D)
@@ -431,7 +440,8 @@ def cmd_classify_pair(args) -> int:
 
 def cmd_cone_residual(args) -> int:
     F = field_from_args(args)
-    report = run_cone_residual_case(F, args.case, args.k, args.workers, full=True, seed=args.seed)
+    k = None if args.k is None else _element(F, args.k, "--k")
+    report = run_cone_residual_case(F, args.case, k, full=True)
     _emit(args, report)
     return 0 if report["ok"] else 1
 
@@ -454,7 +464,7 @@ def cmd_check(args) -> int:
             except analysis.FieldTooSmall as exc:
                 raise UsageError(str(exc))
         elif claim == "main":
-            report = run_main_claim(F, args.workers)
+            report = run_main_claim(F)
         else:
             raise UsageError(f"unknown claim {claim}")
     rows = None
@@ -477,8 +487,8 @@ def cmd_report_all(args) -> int:
     except analysis.FieldTooSmall as exc:
         claims.append({"claim": "afkl", "skipped": str(exc), "ok": None})
     for case in (1, 2, 3):
-        claims.append(run_cone_residual_case(F, case, None, args.workers, full=False, seed=args.seed))
-    claims.append(run_main_claim(F, args.workers))
+        claims.append(run_cone_residual_case(F, case, None, full=False))
+    claims.append(run_main_claim(F))
     claims.append(run_nucleus())
     verified = sum(1 for c in claims if c["ok"] is True)
     violated = sum(1 for c in claims if c["ok"] is False)
@@ -514,7 +524,7 @@ def _add_field_opts(sp, square_hint=""):
 def _add_common(sp):
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored: every check runs in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -99,18 +99,24 @@ class ProjectiveSpace:
     def coords_array(self):
         """(npoints, dim+1) numpy array of all normalised points, cached."""
         if self._coords_array is None:
-            m, d = self.field.order, self.dim
-            dt = np.uint8 if m <= 256 else np.uint16
-            cols = [np.zeros(self.npoints, dtype=dt) for _ in range(d + 1)]
-            for i in range(d, -1, -1):
-                start = self._offsets[i]
-                size = m ** (d - i)
-                r = np.arange(size)
-                cols[i][start : start + size] = 1
-                for t in range(i + 1, d + 1):
-                    cols[t][start : start + size] = (r // m ** (d - t) % m).astype(dt)
-            self._coords_array = np.column_stack(cols)
+            self._coords_array = point_array(self.field.order, self.dim)
         return self._coords_array
+
+    def index_rows(self, rows):
+        """Canonical indices (int64) of the points spanned by the nonzero rows
+        of an (m, dim+1) array of field elements: normalize and index, row by
+        row, in numpy."""
+        F = self.field
+        m, d = F.order, self.dim
+        rows = np.asarray(rows)
+        lead = (rows != 0).argmax(axis=1)
+        scale = F.inv_table[rows[np.arange(len(rows)), lead]]
+        weights = m ** np.arange(d, -1, -1, dtype=np.int64)
+        # the leading coordinate scales to 1, which the block offset replaces
+        idx = np.asarray(self._offsets, dtype=np.int64)[lead] - weights[lead]
+        for t in range(d + 1):
+            idx += F.mul_table[scale, rows[:, t]].astype(np.int64) * weights[t]
+        return idx
 
     # -- lines -----------------------------------------------------------------
 
@@ -179,6 +185,23 @@ class ProjectiveSpace:
         P, Q = (self.point(i) for i in line)
         idxs = sorted(self.index(self.normalize(c)) for c in self._span(P, Q))
         return [self.point(i) for i in idxs]
+
+
+def point_array(m: int, d: int):
+    """(npoints, d+1) array of the normalised points of PG(d,m) in canonical
+    order, written block by block through broadcast views."""
+    dt = np.uint8 if m <= 256 else np.uint16
+    out = np.zeros(((m ** (d + 1) - 1) // (m - 1), d + 1), dtype=dt)
+    digits = np.arange(m, dtype=dt)
+    for i in range(d + 1):
+        # points whose leading one sits at position i; the block starts at
+        # offset (m^(d-i) - 1)/(m - 1) and counts the later coordinates in base m
+        start = (m ** (d - i) - 1) // (m - 1)
+        block = out[start : start + m ** (d - i)]
+        block[:, i] = 1
+        for t in range(i + 1, d + 1):
+            block.reshape(m ** (t - i - 1), m, m ** (d - t), d + 1)[:, :, :, t] = digits[None, :, None]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -360,6 +360,10 @@ class GF:
         out[:, 0] = 0
         return out.astype(self._dtype())
 
+    def _make_inv_table(self):
+        """Inverse of every element, with 0 mapped to 0."""
+        return np.array([0] + [self.inv(a) for a in self.units()], dtype=self._dtype())
+
     def _make_neg_table(self):
         return np.array(self._neg, dtype=self._dtype())
 
@@ -380,6 +384,10 @@ class GF:
     @property
     def mul_table(self):
         return self._np("mul_table")
+
+    @property
+    def inv_table(self):
+        return self._np("inv_table")
 
     @property
     def neg_table(self):

@@ -1,22 +1,24 @@
 """The PG(5,q) side: Veronese surface, conic points P(C), cones, and the
-exhaustive cone-intersection oracle.
+cone-intersection residuals.
 
 A conic corresponds to the PG(5,q) point carrying its coefficient tuple
 (a11,a22,a33,a12,a13,a23); rank-1 conics make up the Veronese surface V and
 every conic C of rank > 1 spans the cone Gamma(C) projecting V from P(C).
-Cone membership is decided by scanning the n+1 points of a line for a
-rank-1 symmetric matrix, never symbolically.  The full PG(5,n) sweeps are
-vectorised and can be partitioned by index range across worker processes;
-results are merged in canonical order, so worker count never changes output.
+A point Q other than P(C) lies on Gamma(C) exactly when the line P(C)Q meets
+V away from P(C), so the cone is built directly: P(C), every point of V, and
+every point P(C) + lambda*v for v on V, about n^3 rows normalised in numpy.
+The exhaustive PG(5,n) sweep, which line-scans every point for a rank-1
+symmetric matrix, and a plain per-point scan stay as the oracles the direct
+construction is tested against.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
 from .conic import Conic
-from .gf import GF, field
-from .geom import projective_plane, projective_space
+from .gf import GF
+from .geom import point_array, projective_space
 
 
 class RankOne(ValueError):
@@ -58,16 +60,18 @@ def veronese_point(F: GF, a: int, b: int, c: int):
     return projective_space(F, 5).normalize(v)
 
 
+def _veronese_rows(F: GF):
+    """(n^2+n+1, 6) array of the images (x^2,y^2,z^2,xy,xz,yz) of the points
+    of PG(2,n), not normalised."""
+    x, y, z = point_array(F.order, 2).T
+    mul = F.mul_table
+    return np.stack([mul[x, x], mul[y, y], mul[z, z], mul[x, y], mul[x, z], mul[y, z]], axis=1)
+
+
+@lru_cache(maxsize=None)
 def veronese_indices(F: GF):
     """Sorted PG(5,n) indices of the Veronese surface (one per plane point)."""
-    key = "_veronese_idx"
-    cached = getattr(F, key, None)
-    if cached is None:
-        space = projective_space(F, 5)
-        plane = projective_plane(F)
-        cached = tuple(sorted(space.index(veronese_point(F, *plane.point(i))) for i in range(plane.npoints)))
-        setattr(F, key, cached)
-    return cached
+    return tuple(sorted(int(i) for i in projective_space(F, 5).index_rows(_veronese_rows(F))))
 
 
 def is_on_veronese(F: GF, q) -> bool:
@@ -108,7 +112,7 @@ def cone_contains(C: Conic, Q) -> bool:
     return bool(line_meets_veronese(F, apex, Qn))
 
 
-# -- vectorised cone sweeps ----------------------------------------------------
+# -- cones in numpy ------------------------------------------------------------
 
 
 def _cone_hits_block(F: GF, coeffs, coords):
@@ -141,61 +145,45 @@ def _cone_hits_block(F: GF, coeffs, coords):
     return hits
 
 
-def _cone_sweep_worker(args):
-    p, h, modulus, coeffs, start, stop = args
-    F = field(p, h, modulus)
-    coords = projective_space(F, 5).coords_array()[start:stop]
-    return start, np.flatnonzero(_cone_hits_block(F, coeffs, coords)) + start
+def cone_point_indices(C: Conic):
+    """Sorted PG(5,n) indices of the full cone of C, built directly: the
+    apex, every Veronese point v and every point apex + lambda*v."""
+    F = C.field
+    add, mul = F.add_table, F.mul_table
+    apex = np.array(C.coeffs, dtype=add.dtype)
+    V = _veronese_rows(F)
+    lam = np.arange(F.order, dtype=add.dtype)
+    on_lines = add[apex, mul[lam[:, None, None], V]].reshape(-1, 6)
+    rows = np.concatenate([apex[None], V, on_lines])
+    # apex + lambda*v vanishes only for v on the apex itself (a rank-1 apex)
+    rows = rows[rows.any(axis=1)]
+    idx = np.sort(projective_space(F, 5).index_rows(rows))
+    # drop repeats (the apex, and points on lines meeting V twice); sorting
+    # and comparing neighbours is much faster here than np.unique
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
-_CONE_CACHE: dict = {}
-
-
-def cone_point_indices(C: Conic, workers: int = 1):
-    """Sorted PG(5,n) indices of the full cone of C, by exhaustive sweep.
-
-    Every point of PG(5,n) is line-scanned against the cone; the result is
-    cached per conic since case sweeps reuse one apex for many partners.
-    """
-    key = (C.field, C.coeffs)
-    cached = _CONE_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=4)
+def swept_cone_indices(C: Conic):
+    """Oracle for ``cone_point_indices``: every point of PG(5,n) is
+    line-scanned against the cone.  Read-only and cached, since the case
+    sweeps reuse one apex for many partners."""
     F = C.field
     space = projective_space(F, 5)
-    n = space.npoints
-    if workers > 1:
-        chunk = -(-n // workers)
-        jobs = [(F.p, F.h, F.modulus, C.coeffs, s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = sorted(pool.map(_cone_sweep_worker, jobs))
-        idx = np.concatenate([part for _, part in parts]) if parts else np.empty(0, np.int64)
-    else:
-        idx = np.flatnonzero(_cone_hits_block(F, C.coeffs, space.coords_array()))
-    apex = space.index(space.normalize(C.coeffs))
-    idx = np.unique(np.append(idx, apex))
-    if len(_CONE_CACHE) > 8:
-        _CONE_CACHE.pop(next(iter(_CONE_CACHE)))
-    _CONE_CACHE[key] = idx
+    idx = np.flatnonzero(_cone_hits_block(F, C.coeffs, space.coords_array()))
+    idx = np.union1d(idx, space.index(C.coeffs))
+    idx.flags.writeable = False
     return idx
 
 
-def cone_residual_intersection(
-    C: Conic,
-    D: Conic,
-    method: str = "auto",
-    workers: int = 1,
-    samples: int = 0,
-    seed: int = 0,
-    extra_candidates=(),
-):
+def cone_residual_intersection(C: Conic, D: Conic, method: str = "direct"):
     """All points of (Gamma(C) & Gamma(D)) minus the line P(C)P(D) minus V,
     in canonical index order, as coordinate tuples.
 
-    method "scan" sweeps the whole of PG(5,n) (the oracle used up to n=25);
-    "scalar" is the plain per-point reference implementation for small n;
-    "sampled" verifies only supplied candidate points plus a seeded random
-    sample of the space (for n > 25, where the full sweep is out of budget).
+    method "direct" intersects the two directly built cones and is exact at
+    every order; "scan" sweeps the whole of PG(5,n) for the cone of C and
+    line-scans its points against D (the oracle, affordable up to n=25);
+    "scalar" is the plain per-point reference implementation for small n.
     """
     F = C.field
     if F != D.field:
@@ -205,48 +193,25 @@ def cone_residual_intersection(
     if F.p != 2 and (C.rank() != 3 or D.rank() != 3):
         raise RankOne("residual intersection needs irreducible conics")
     space = projective_space(F, 5)
-    if method == "auto":
-        method = "scan" if space.npoints <= 11_000_000 else "sampled"
+    apex_d = space.index(D.coeffs)
+    line_idx = {space.index(P) for P in space.points_on_line(space.line_through(C.coeffs, D.coeffs))}
+    excluded = line_idx | set(veronese_indices(F))
 
-    apex_c = space.index(space.normalize(C.coeffs))
-    apex_d = space.index(space.normalize(D.coeffs))
-    line_idx = {space.index(P) for P in space.points_on_line(space.line_through(space.point(apex_c), space.point(apex_d)))}
-    v_idx = set(veronese_indices(F))
-    excluded = line_idx | v_idx
-
-    if method == "scalar":
-        out = []
+    if method == "direct":
+        common = np.intersect1d(cone_point_indices(C), cone_point_indices(D), assume_unique=True)
+        found = np.setdiff1d(common, sorted(excluded), assume_unique=True)
+    elif method == "scan":
+        cand = swept_cone_indices(C)
+        in_d = _cone_hits_block(F, D.coeffs, space.coords_array()[cand])
+        in_d |= cand == apex_d
+        found = sorted(set(int(i) for i in cand[in_d]) - excluded)
+    elif method == "scalar":
+        found = []
         for i in range(space.npoints):
-            if i in excluded:
-                continue
-            P = space.point(i)
-            if cone_contains(C, P) and cone_contains(D, P):
-                out.append(P)
-        return out
-
-    dt = np.uint8 if F.order <= 256 else np.uint16
-    if method == "scan":
-        cand = cone_point_indices(C, workers=workers)
-    elif method == "sampled":
-        rng = np.random.default_rng(seed)
-        pool = set(int(i) for i in rng.integers(0, space.npoints, size=samples)) if samples else set()
-        pool.update(space.index(space.normalize(tuple(q))) for q in extra_candidates)
-        cand = np.array(sorted(pool), dtype=np.int64)
-        coords = np.array([space.point(int(i)) for i in cand], dtype=dt) if len(cand) else np.empty((0, 6), dtype=dt)
-        in_c = _cone_hits_block(F, C.coeffs, coords) if len(cand) else np.empty(0, bool)
-        in_c |= cand == apex_c
-        cand = cand[in_c]
+            if i not in excluded:
+                P = space.point(i)
+                if cone_contains(C, P) and cone_contains(D, P):
+                    found.append(i)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    if len(cand) == 0:
-        return []
-    coords = (
-        space.coords_array()[cand]
-        if method == "scan"
-        else np.array([space.point(int(i)) for i in cand], dtype=dt)
-    )
-    in_d = _cone_hits_block(F, D.coeffs, coords)
-    in_d |= cand == apex_d
-    found = sorted(set(int(i) for i in cand[in_d]) - excluded)
-    return [space.point(i) for i in found]
+    return [space.point(int(i)) for i in found]

@@ -7,7 +7,6 @@ stays inside the per-criterion budgets on one CPU.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -33,9 +32,12 @@ from unitals.conic import Conic, PencilKind, canonical_pencil
 from unitals.geom import projective_plane
 from unitals.gf import field
 from unitals.unital import behs_unital, hermitian_unital, is_unital, tangent_structure
-from unitals.veronese import cone_residual_intersection, line_meets_veronese, _CONE_CACHE
-
-WORKERS = min(8, os.cpu_count() or 1)
+from unitals.veronese import (
+    cone_point_indices,
+    cone_residual_intersection,
+    line_meets_veronese,
+    swept_cone_indices,
+)
 
 
 def report(num: int, ok: bool, t0: float, desc: str) -> float:
@@ -153,21 +155,26 @@ def test_criterion_6_cone_oracle_vs_closed_forms():
     for p in (3, 5):
         F = field(p, 2)
         alpha = min(F.nonsquares())
+        apexes = set()
         for case in (1, 2, 3):
             for k in admissible_ks(F, case, alpha):
                 C, D = canonical_case_pair(F, case, k, alpha)
-                res = cone_residual_intersection(C, D, method="scan", workers=WORKERS)
+                apexes.add(C)
+                res = cone_residual_intersection(C, D, method="scan")
                 ok &= res == case_residual_formula(F, case, k, alpha)
+                ok &= cone_residual_intersection(C, D) == res
                 if case == 3:
                     ok &= res == []
+        # each swept apex: the direct cone is the sweep, index for index
+        for C in apexes:
+            ok &= bool(np.array_equal(cone_point_indices(C), swept_cone_indices(C)))
         for k in admissible_ks(F, 1):
             for beta in F.elements():
                 if beta in (0, 1):
                     continue
                 p1, pb = case1_exceptional_vpoints(F, k, beta)
                 ok &= line_meets_veronese(F, p1, pb) == []
-        _CONE_CACHE.clear()
-    dt = report(6, ok, t0, f"full PG(5,9) and PG(5,25) sweeps match the closed forms for every admissible k ({WORKERS} workers)")
+    dt = report(6, ok, t0, "full PG(5,9) and PG(5,25) sweeps match the closed forms and the direct cones for every admissible k")
     assert ok and dt < 900.0
 
 

@@ -94,6 +94,15 @@ def test_cone_residual_case1_report(capsys):
             assert entry["rank"] == 3
 
 
+def test_cone_residual_exact_at_order_49(capsys):
+    code, rep = run_json(capsys, "cone-residual", "--case", "1", "--q", "7", "--workers", "3")
+    assert code == 0
+    assert rep["sweep"] == "full" and rep["ok"] and rep["exceptional_lines_miss_surface"]
+    assert len(rep["pairs"]) == len(rep["ks"]) > 0
+    for pair in rep["pairs"]:
+        assert pair["matches_closed_form"] and pair["residual_size"] == 48
+
+
 def test_check_lemma1(capsys):
     code, rep = run_json(capsys, "check", "--claim", "lemma1", "--q", "5")
     assert code == 0
@@ -143,6 +152,34 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "classify-pair --q 3 --conic 1,2,3,4,5,99 --conic2 1,0,0,0,0,0",
+        "build-unital --q 3 --t 99",
+        "classify-pair --q 3 --case 1 --k 99",
+        "cone-residual --q 3 --case 3 --k -3",
+        "field --q 12",
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if argv.startswith("field"):
+        assert "12 is not a prime power" in captured.err
+
+
+def test_points_outside_the_plane_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([0, 5, 91]))
+    code = main(["verify-unital", "--q", "3", "--points", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --points")
 
 
 def test_report_all_text_and_exit(capsys):

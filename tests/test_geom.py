@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from unitals.gf import field
@@ -43,6 +44,25 @@ def test_index_roundtrip_pg59():
     arr = space.coords_array()
     for i in (0, 7, 4096, 66429):
         assert tuple(int(x) for x in arr[i]) == space.point(i)
+
+
+@pytest.mark.parametrize("p,h,d", [(3, 1, 5), (2, 2, 5), (5, 1, 5), (3, 2, 2), (7, 1, 2)])
+def test_coords_array_matches_scalar_points(p, h, d):
+    space = projective_space(field(p, h), d)
+    arr = space.coords_array()
+    assert arr.shape == (space.npoints, d + 1)
+    assert [tuple(int(x) for x in row) for row in arr] == [space._point(i) for i in range(space.npoints)]
+
+
+@pytest.mark.parametrize("p,h,d", [(3, 2, 5), (2, 3, 5), (5, 1, 2)])
+def test_index_rows_matches_normalize_and_index(p, h, d):
+    F = field(p, h)
+    space = projective_space(F, d)
+    rng = random.Random(p * h * d)
+    rows = [tuple(rng.randrange(F.order) for _ in range(d + 1)) for _ in range(2000)]
+    rows = [r for r in rows if any(r)]
+    got = space.index_rows(np.array(rows, dtype=np.uint8))
+    assert got.tolist() == [space.index(space.normalize(r)) for r in rows]
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2)])

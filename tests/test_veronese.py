@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from unitals.analysis import (
@@ -20,10 +21,10 @@ from unitals.veronese import (
     conic_vpoint,
     is_on_veronese,
     line_meets_veronese,
+    swept_cone_indices,
     veronese_indices,
     veronese_point,
     vpoint_conic,
-    _CONE_CACHE,
 )
 
 
@@ -148,10 +149,9 @@ def test_scan_matches_scalar_reference(p, case, k):
     else:
         C = canonical_pencil(F, PencilKind.PARABOLIC, 0)
         D = canonical_pencil(F, PencilKind.PARABOLIC, k)
-    _CONE_CACHE.clear()
-    assert cone_residual_intersection(C, D, method="scan") == cone_residual_intersection(
-        C, D, method="scalar"
-    )
+    scalar = cone_residual_intersection(C, D, method="scalar")
+    assert cone_residual_intersection(C, D, method="scan") == scalar
+    assert cone_residual_intersection(C, D) == scalar
 
 
 def test_residual_formulas_n9():
@@ -161,6 +161,7 @@ def test_residual_formulas_n9():
             C, D = canonical_case_pair(F, case, k)
             res = cone_residual_intersection(C, D, method="scan")
             assert res == case_residual_formula(F, case, k), (case, k)
+            assert cone_residual_intersection(C, D) == res
             if case == 1:
                 assert len(res) == F.order - 1
                 assert all(Conic(F, q).rank() == 3 for q in res)
@@ -170,26 +171,20 @@ def test_residual_formulas_n9():
                 assert res == []
 
 
-def test_worker_partition_matches_sequential():
-    F = field(3, 2)
-    C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-    _CONE_CACHE.clear()
-    seq = cone_point_indices(C, workers=1)
-    _CONE_CACHE.clear()
-    par = cone_point_indices(C, workers=3)
-    assert (seq == par).all()
-    _CONE_CACHE.clear()
-
-
-def test_sampled_mode_verifies_candidates():
-    F = field(3, 2)
-    k = admissible_ks(F, 1)[0]
-    C, D = canonical_case_pair(F, 1, k)
-    full = cone_residual_intersection(C, D, method="scan")
-    got = cone_residual_intersection(
-        C, D, method="sampled", samples=2000, seed=3, extra_candidates=full
-    )
-    assert got == full
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_direct_cone_matches_sweep(p, h):
+    F = field(p, h)
+    n = F.order
+    rng = random.Random(100 * p + h)
+    apexes = []
+    while len(apexes) < 15:
+        coeffs = tuple(rng.randrange(n) for _ in range(6))
+        if any(coeffs):
+            apexes.append(Conic(F, coeffs))
+    # rank-1 apexes, points of V itself
+    apexes += [Conic(F, veronese_point(F, *t)) for t in ((1, 0, 0), (1, 1, 1), (0, 1, rng.randrange(1, n)))]
+    for C in apexes:
+        assert np.array_equal(cone_point_indices(C), swept_cone_indices(C)), C
 
 
 def test_residual_rejects_bad_input():
