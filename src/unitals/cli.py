@@ -440,7 +440,17 @@ def cmd_classify_pair(args) -> int:
 
 def cmd_cone_residual(args) -> int:
     F = field_from_args(args)
-    k = None if args.k is None else _element(F, args.k, "--k")
+    if F.p == 2:
+        raise UsageError(f"cone-residual needs odd characteristic; GF({F.order}) has characteristic 2")
+    k = None
+    if args.k is not None:
+        k = _element(F, args.k, "--k")
+        ks = analysis.admissible_ks(F, args.case)
+        if k not in ks:
+            listed = ", ".join(map(str, ks)) or "none"
+            raise UsageError(
+                f"--k {k} is not admissible for case {args.case} over GF({F.order}); admissible: {listed}"
+            )
     report = run_cone_residual_case(F, args.case, k, full=True)
     _emit(args, report)
     return 0 if report["ok"] else 1

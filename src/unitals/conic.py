@@ -9,12 +9,13 @@ coefficients and only point-set operations plus the nucleus are offered.
 """
 
 import enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 import numpy as np
 
 from .gf import GF, QuadraticCharacter, nullspace
-from .geom import PointSet, det3, inv3, matmul3, matvec3, projective_plane, transpose3
+from .geom import PointSet, det3, inv3, matmul3, matvec3, projective_plane, tangent_lines, transpose3
 
 
 class EvenCharacteristicUnsupported(ValueError):
@@ -53,36 +54,58 @@ class PencilKind(enum.Enum):
     PARABOLIC = "parabolic"
 
 
+# symmetric matrix from a 6-tuple q: rows ((q0,q3,q4),(q3,q1,q5),(q4,q5,q2));
+# the six distinct 2x2 minors as index quadruples (i,j,k,l) meaning
+# q_i*q_j == q_k*q_l
+_MINOR_PAIRS = (
+    (0, 1, 3, 3),
+    (0, 2, 4, 4),
+    (1, 2, 5, 5),
+    (0, 5, 3, 4),
+    (1, 4, 3, 5),
+    (2, 3, 4, 5),
+)
+
+
+def symmetric_rank_leq1(F: GF, q) -> bool:
+    """True when the symmetric 3x3 matrix built from the 6-tuple is nonzero
+    of rank 1."""
+    if not any(q):
+        return False
+    mul = F.mul
+    return all(mul(q[i], q[j]) == mul(q[k], q[l]) for i, j, k, l in _MINOR_PAIRS)
+
+
+def quadratic_rows(F: GF, pts):
+    """(m, 6) array of the images (x^2, y^2, z^2, xy, xz, yz) of the rows
+    (x, y, z) of ``pts``: the Veronese map, not normalised."""
+    x, y, z = np.asarray(pts).T
+    mul = F.mul_table
+    return np.stack([mul[x, x], mul[y, y], mul[z, z], mul[x, y], mul[x, z], mul[y, z]], axis=1)
+
+
 @lru_cache(maxsize=None)
 def _monomials(plane):
-    """(npoints, 6) array of monomial values (x2, y2, z2, xy, xz, yz) per
-    point, with the cross columns doubled in odd characteristic so that a
-    conic evaluates as a plain dot product with its coefficient tuple."""
+    """(npoints, 6) int64 array of monomial values per point: the Veronese
+    map with the cross columns doubled in odd characteristic, so that a
+    conic evaluates as ``eval_many`` with its coefficient tuple."""
     F = plane.field
-    mul = F.mul_table
-    add = F.add_table
-    c = plane.coords_array().astype(np.int64)
-    x, y, z = c[:, 0], c[:, 1], c[:, 2]
-    two = F.add(1, 1)
-    cols = [mul[x, x], mul[y, y], mul[z, z]]
-    for u, v in ((x, y), (x, z), (y, z)):
-        col = mul[u, v]
-        if F.p != 2:
-            col = mul[two, col.astype(np.int64)]
-        cols.append(col)
-    return np.column_stack([col.astype(np.int64) for col in cols])
+    mon = quadratic_rows(F, plane.coords_array()).astype(np.int64)
+    if F.p != 2:
+        mon[:, 3:] = F.mul_table[F.add(1, 1), mon[:, 3:]]
+    return mon
 
 
-def eval_many(plane, coeffs, mon=None):
-    """Values of the conic form at every point of the plane (numpy array)."""
-    F = plane.field
-    if mon is None:
-        mon = _monomials(plane)
+def eval_many(F: GF, coeffs, rows):
+    """int64 array of the sums coeffs[0]*r[0] + ... + coeffs[5]*r[5] over F,
+    one per row r of the (m, 6) array ``rows``.  With a conic's coefficients
+    and monomial rows these are the form's values; the pairing is symmetric,
+    so one point's monomials against coefficient rows works too."""
     mul, add = F.mul_table, F.add_table
-    acc = mul[coeffs[0], mon[:, 0]].astype(np.int64)
-    for i in range(1, 6):
-        if coeffs[i]:
-            acc = add[acc, mul[coeffs[i], mon[:, i]].astype(np.int64)].astype(np.int64)
+    acc = mul[coeffs[0], rows[:, 0]].astype(np.int64)
+    for j in range(1, 6):
+        if coeffs[j]:
+            acc = add[acc, mul[coeffs[j], rows[:, j]].astype(np.int64)].astype(np.int64)
     return acc
 
 
@@ -139,7 +162,7 @@ class Conic:
 
     def points(self) -> PointSet:
         if self._points is None:
-            vals = eval_many(self.plane, self.coeffs)
+            vals = eval_many(self.field, self.coeffs, _monomials(self.plane))
             mask = 0
             for i in np.flatnonzero(vals == 0):
                 mask |= 1 << int(i)
@@ -165,19 +188,10 @@ class Conic:
     def rank(self) -> int:
         if self._rank is None:
             F = self.field
-            M = self.matrix()
-            if det3(F, M) != 0:
+            if det3(F, self.matrix()) != 0:
                 self._rank = 3
             else:
-                minors = any(
-                    F.sub(F.mul(M[r1][c1], M[r2][c2]), F.mul(M[r1][c2], M[r2][c1])) != 0
-                    for r1, r2, c1, c2 in (
-                        (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 1, 2),
-                        (0, 2, 0, 1), (0, 2, 0, 2), (0, 2, 1, 2),
-                        (1, 2, 0, 1), (1, 2, 0, 2), (1, 2, 1, 2),
-                    )
-                )
-                self._rank = 2 if minors else 1
+                self._rank = 1 if symmetric_rank_leq1(F, self.coeffs) else 2
         return self._rank
 
     @property
@@ -216,7 +230,7 @@ class Conic:
         if self.rank() != 3:
             raise SingularConic("point classification needs an irreducible conic")
         F = self.field
-        vals = eval_many(self.plane, self.coeffs)
+        vals = eval_many(F, self.coeffs, _monomials(self.plane))
         w = F.mul_table[F.neg(self.det()), vals]
         return F.character_table[w]
 
@@ -234,21 +248,12 @@ class Conic:
         F = self.field
         if F.p != 2:
             raise OddCharacteristic("the nucleus exists only in even characteristic")
-        plane = self.plane
-        pts = self.points()
         if not self._is_oval():
             raise NotIrreducible("point set is not an oval")
-        tangents = []
-        for pi in pts.indices():
-            tl = [li for li in plane.point_lines[pi] if (plane.line_masks[li] & pts.mask).bit_count() == 1]
-            assert len(tl) == 1
-            tangents.append(tl[0])
-        common = None
-        for li in tangents:
-            lset = set(plane.line_points[li])
-            common = lset if common is None else common & lset
-        assert len(common) == 1
-        return plane.point(common.pop())
+        plane = self.plane
+        common = reduce(and_, (plane.line_masks[li] for li in tangent_lines(self.points())))
+        assert common.bit_count() == 1
+        return plane.point(common.bit_length() - 1)
 
     def transform(self, M):
         """The conic whose point set is the image of this one under x -> Mx."""
@@ -286,11 +291,6 @@ def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) 
 def conics_through(F: GF, pts) -> list:
     """Basis (as raw coefficient tuples) of the conics through the given
     points; a unique conic comes back as a single-element list."""
-    rows = []
-    two = F.add(1, 1)
-    for x, y, z in pts:
-        row = [F.mul(x, x), F.mul(y, y), F.mul(z, z), F.mul(x, y), F.mul(x, z), F.mul(y, z)]
-        if F.p != 2:
-            row[3:] = [F.mul(two, c) for c in row[3:]]
-        rows.append(row)
-    return nullspace(F, rows)
+    plane = projective_plane(F)
+    mon = _monomials(plane)
+    return nullspace(F, [mon[plane.index(plane.normalize(P))].tolist() for P in pts])

@@ -6,8 +6,7 @@ vectors in lexicographic order; lines of PG(2,n) are enumerated by the same
 scheme through their dual vectors.  PG(5,n) lines are never enumerated
 globally, only constructed from point pairs.
 
-Everything here is immutable after construction; enumeration ranges can be
-partitioned by index for data-parallel sweeps.
+Everything here is immutable after construction.
 """
 
 from functools import lru_cache
@@ -122,20 +121,13 @@ class ProjectiveSpace:
 
     def _build_incidence(self):
         F = self.field
-        n = F.order
-        nlines = self.npoints
         line_points = []
         masks = []
         point_lines = [[] for _ in range(self.npoints)]
-        for li in range(nlines):
-            dual = self.point(li)
-            b1, b2 = nullspace(F, [dual])
-            pts = [self.index(self.normalize(b2))]
-            for lam in F.elements():
-                v = tuple(F.add(x, F.mul(lam, y)) for x, y in zip(b1, b2))
-                pts.append(self.index(self.normalize(v)))
-            pts = tuple(sorted(pts))
-            assert len(set(pts)) == n + 1
+        for li in range(self.npoints):
+            b1, b2 = nullspace(F, [self.point(li)])
+            pts = tuple(sorted(self.index(self.normalize(v)) for v in span(F, b1, b2)))
+            assert len(set(pts)) == F.order + 1
             line_points.append(pts)
             mask = 0
             for pi in pts:
@@ -164,15 +156,8 @@ class ProjectiveSpace:
             v = F.sub(F.mul(P[2], Q[0]), F.mul(P[0], Q[2]))
             w = F.sub(F.mul(P[0], Q[1]), F.mul(P[1], Q[0]))
             return self.normalize((u, v, w))
-        idxs = sorted(self.index(self.normalize(c)) for c in self._span(P, Q))
+        idxs = sorted(self.index(self.normalize(c)) for c in span(F, P, Q))
         return (idxs[0], idxs[1])
-
-    def _span(self, P, Q):
-        F = self.field
-        pts = [Q]
-        for lam in F.elements():
-            pts.append(tuple(F.add(x, F.mul(lam, y)) for x, y in zip(P, Q)))
-        return pts
 
     def points_on_line(self, line):
         """Points of a line in canonical index order, as coordinate tuples.
@@ -183,8 +168,14 @@ class ProjectiveSpace:
             li = line if isinstance(line, int) else self.line_index(line)
             return [self.point(i) for i in self.line_points[li]]
         P, Q = (self.point(i) for i in line)
-        idxs = sorted(self.index(self.normalize(c)) for c in self._span(P, Q))
+        idxs = sorted(self.index(self.normalize(c)) for c in span(self.field, P, Q))
         return [self.point(i) for i in idxs]
+
+
+def span(F: GF, P, Q):
+    """Representatives of the n+1 points of the line PQ: Q, then P + lambda*Q
+    for every lambda in F (not normalised)."""
+    return [Q] + [tuple(F.add(x, F.mul(lam, y)) for x, y in zip(P, Q)) for lam in F.elements()]
 
 
 def point_array(m: int, d: int):
@@ -333,3 +324,10 @@ class PointSet:
     def complement(self):
         full = (1 << self.space.npoints) - 1
         return PointSet(self.space, full & ~self.mask)
+
+
+def tangent_lines(S: PointSet):
+    """Indices of the lines of PG(2,n) meeting the point set S in exactly
+    one point, in increasing order."""
+    mask = S.mask
+    return [li for li, lm in enumerate(S.space.line_masks) if (mask & lm).bit_count() == 1]

@@ -3,8 +3,7 @@
 An element is a plain int in [0, p^h): the index is the base-p encoding of
 the coefficient vector of its polynomial representative, so 0 is the zero
 element and 1 is the one element.  A ``GF`` instance is immutable after
-construction and all operations are pure functions of their arguments, so
-fields can be shared freely between workers.
+construction and all operations are pure functions of their arguments.
 
 For small fields (order <= ``TABLE_LIMIT``) dense numpy operation tables
 are available for vectorised sweeps.

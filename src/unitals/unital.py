@@ -9,7 +9,7 @@ boolean; the profile doubles as the two-intersection-set witness.
 from dataclasses import dataclass, field as dc_field
 
 from .conic import PencilKind, canonical_pencil
-from .geom import PointSet, projective_plane
+from .geom import PointSet, projective_plane, tangent_lines
 from .gf import GF, _isqrt_exact
 
 
@@ -131,8 +131,10 @@ def tangent_structure(S: PointSet) -> TangentReport:
         raise NotAUnital("tangent structure is only defined for unitals")
     plane = S.space
     q = report.q
-    tangent_line = [(S.mask & lm).bit_count() == 1 for lm in plane.line_masks]
-    per_point = [sum(1 for li in plane.point_lines[pi] if tangent_line[li]) for pi in range(plane.npoints)]
+    per_point = [0] * plane.npoints
+    for li in tangent_lines(S):
+        for pi in plane.line_points[li]:
+            per_point[pi] += 1
     on_profile: dict = {}
     off_profile: dict = {}
     violations = []

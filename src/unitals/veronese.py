@@ -16,9 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conic import Conic
+from .conic import _MINOR_PAIRS, Conic, quadratic_rows, symmetric_rank_leq1
 from .gf import GF
-from .geom import point_array, projective_space
+from .geom import point_array, projective_space, span
 
 
 class RankOne(ValueError):
@@ -27,28 +27,6 @@ class RankOne(ValueError):
 
 class ZeroTriple(ValueError):
     pass
-
-
-# symmetric matrix from a 6-tuple q: rows ((q0,q3,q4),(q3,q1,q5),(q4,q5,q2));
-# the six distinct 2x2 minors as index quadruples (i,j,k,l) meaning
-# q_i*q_j == q_k*q_l
-_MINOR_PAIRS = (
-    (0, 1, 3, 3),
-    (0, 2, 4, 4),
-    (1, 2, 5, 5),
-    (0, 5, 3, 4),
-    (1, 4, 3, 5),
-    (2, 3, 4, 5),
-)
-
-
-def symmetric_rank_leq1(F: GF, q) -> bool:
-    """True when the symmetric 3x3 matrix built from the 6-tuple is nonzero
-    of rank 1."""
-    if not any(q):
-        return False
-    mul = F.mul
-    return all(mul(q[i], q[j]) == mul(q[k], q[l]) for i, j, k, l in _MINOR_PAIRS)
 
 
 def veronese_point(F: GF, a: int, b: int, c: int):
@@ -60,18 +38,11 @@ def veronese_point(F: GF, a: int, b: int, c: int):
     return projective_space(F, 5).normalize(v)
 
 
-def _veronese_rows(F: GF):
-    """(n^2+n+1, 6) array of the images (x^2,y^2,z^2,xy,xz,yz) of the points
-    of PG(2,n), not normalised."""
-    x, y, z = point_array(F.order, 2).T
-    mul = F.mul_table
-    return np.stack([mul[x, x], mul[y, y], mul[z, z], mul[x, y], mul[x, z], mul[y, z]], axis=1)
-
-
 @lru_cache(maxsize=None)
 def veronese_indices(F: GF):
     """Sorted PG(5,n) indices of the Veronese surface (one per plane point)."""
-    return tuple(sorted(int(i) for i in projective_space(F, 5).index_rows(_veronese_rows(F))))
+    rows = quadratic_rows(F, point_array(F.order, 2))
+    return tuple(sorted(int(i) for i in projective_space(F, 5).index_rows(rows)))
 
 
 def is_on_veronese(F: GF, q) -> bool:
@@ -91,7 +62,7 @@ def line_meets_veronese(F: GF, P, Q):
     """The points of the line PQ of PG(5,n) lying on V, canonical order."""
     space = projective_space(F, 5)
     found = {}
-    for R in space._span(tuple(P), tuple(Q)):
+    for R in span(F, P, Q):
         Rn = space.normalize(R)
         if symmetric_rank_leq1(F, Rn):
             found[space.index(Rn)] = Rn
@@ -151,7 +122,7 @@ def cone_point_indices(C: Conic):
     F = C.field
     add, mul = F.add_table, F.mul_table
     apex = np.array(C.coeffs, dtype=add.dtype)
-    V = _veronese_rows(F)
+    V = quadratic_rows(F, point_array(F.order, 2))
     lam = np.arange(F.order, dtype=add.dtype)
     on_lines = add[apex, mul[lam[:, None, None], V]].reshape(-1, 6)
     rows = np.concatenate([apex[None], V, on_lines])

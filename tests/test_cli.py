@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,6 +163,8 @@ def test_usage_errors(capsys):
         "classify-pair --q 3 --case 1 --k 99",
         "cone-residual --q 3 --case 3 --k -3",
         "field --q 12",
+        "cone-residual --q 3 --case 1 --k 2",
+        "cone-residual --p 2 --h 2 --case 1",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -172,6 +175,10 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if argv.startswith("field"):
         assert "12 is not a prime power" in captured.err
+    if argv.endswith("--k 2"):
+        assert "admissible: 3, 6" in captured.err
+    if "--p 2" in argv:
+        assert "odd characteristic" in captured.err
 
 
 def test_points_outside_the_plane_are_a_usage_error(tmp_path, capsys):
@@ -195,3 +202,13 @@ def test_report_all_deterministic(capsys):
     code2, out2 = run_cli(capsys, "report-all", "--q", "3", "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_report_all_stdout_is_byte_identical(capsys):
+    # the reference hash of `report-all --q 3 --seed 7`; a change to it must
+    # be deliberate and recorded with the new hash
+    assert main(["report-all", "--q", "3", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c0af163d87ced8300bab27ce6cff7c03c9ac8ab35c9f4c121d68d1e90d912332"
+    )

@@ -12,8 +12,10 @@ from unitals.conic import (
     PointClass,
     PointNotOnConic,
     SingularConic,
+    _monomials,
     canonical_pencil,
     conics_through,
+    eval_many,
 )
 from unitals.geom import apply_collineation, projective_plane
 from unitals.gf import field
@@ -42,6 +44,22 @@ def test_eval_examples():
     assert not C.contains((0, 0, 1))
     P = canonical_pencil(F, PencilKind.PARABOLIC, 0)
     assert P.contains((0, 1, 0))
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (5, 2), (2, 2), (2, 3)])
+def test_vector_kernel_matches_scalar_evaluate(p, h):
+    # pins the table kernel to the scalar form at every plane point, in
+    # even characteristic too, where the cross columns are not doubled
+    F = field(p, h)
+    plane = projective_plane(F)
+    mon = _monomials(plane)
+    rng = random.Random(p * 100 + h)
+    for _ in range(20):
+        coeffs = [rng.randrange(F.order) for _ in range(6)]
+        if not any(coeffs):
+            continue
+        C = Conic(F, coeffs)
+        assert eval_many(F, C.coeffs, mon).tolist() == [C.evaluate(P) for P in plane.points()]
 
 
 def test_normalisation_and_equality():
