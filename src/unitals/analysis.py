@@ -10,6 +10,8 @@ explicit seed.
 import enum
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .conic import (
     canonical_pencil,
     eval_many,
 )
-from .geom import PointSet, det3, matvec3, projective_plane, projective_space, span, tangent_lines
+from .geom import PointSet, det3, projective_plane, projective_space, span, tangent_lines
 from .gf import GF, QuadraticCharacter, _isqrt_exact, nullspace
 from .unital import NotAUnital, is_unital
 from .veronese import veronese_point
@@ -210,13 +212,14 @@ def _unique_tangents(S: PointSet):
     """Map point index -> dual of the unique 1-point line through it, or
     None when some point lacks one."""
     plane = S.space
-    out = {}
-    for li in tangent_lines(S):
-        pi = (plane.line_masks[li] & S.mask).bit_length() - 1
-        if pi in out:
-            return None
-        out[pi] = plane.point(li)
-    return out if len(out) == S.card else None
+    tangents = tangent_lines(S)
+    rows = plane.lines[tangents]
+    # a tangent line's row holds exactly one point of S, so every point has
+    # one tangent exactly when the touched points are S, each once
+    touch = rows[S.member[rows]].tolist()
+    if sorted(touch) != S.indices():
+        return None
+    return {pi: plane.point(li) for pi, li in zip(touch, tangents.tolist())}
 
 
 def _conics_contained_exhaustive(S: PointSet):
@@ -457,10 +460,10 @@ def _transform_points(plane, M, pts: PointSet) -> PointSet:
     F = plane.field
     if det3(F, M) == 0:
         raise ValueError("transform needs an invertible matrix")
-    out = 0
-    for pi in pts.indices():
-        out |= 1 << plane.index(plane.normalize(matvec3(F, M, plane.point(pi))))
-    return PointSet(plane, out)
+    mul, add = F.mul_table, F.add_table
+    x, y, z = plane.coords_array()[pts.member].T
+    images = np.stack([add[add[mul[a, x], mul[b, y]], mul[c, z]] for a, b, c in M], axis=1)
+    return PointSet.from_indices(plane, plane.index_rows(images))
 
 
 def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
@@ -605,10 +608,7 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     if F.p == 2:
         # Conic.is_irreducible tests for an oval in even characteristic
         conics = _conics_contained_exhaustive(S)
-        union = 0
-        for C in conics:
-            union |= C.points().mask
-        covered = bool(conics) and union == S.mask
+        covered = bool(conics) and reduce(or_, (C.points() for C in conics)) == S
         if not conics:
             notes.append(
                 "no irreducible conic lies in the unital; a contained conic would "
@@ -620,12 +620,9 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     conics = conics_contained(S)
     if not conics:
         return UnionCertificate(q, True, False, None, [], notes=["no conics contained in the unital"])
-    union = 0
-    for C in conics:
-        union |= C.points().mask
-    covered = union == S.mask
+    uncovered = (S - reduce(or_, (C.points() for C in conics))).indices()
+    covered = not uncovered
     if not covered:
-        uncovered = PointSet(plane, S.mask & ~union).indices()
         return UnionCertificate(q, True, False, None, conics, uncovered=uncovered)
 
     pair_types = []

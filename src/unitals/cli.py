@@ -133,11 +133,8 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
         on, ext, inn = int((cls == 0).sum()), int((cls == 1).sum()), int((cls == -1).sum())
         if (on, ext, inn) != (n + 1, n * (n + 1) // 2, n * (n - 1) // 2):
             counts_ok = False
-        cnt = np.zeros(plane.npoints, dtype=np.int64)
-        for pi in C.points().indices():
-            li = plane.line_index(C.tangent_at(plane.point(pi)))
-            for pj in plane.line_points[li]:
-                cnt[pj] += 1
+        tangents = [plane.line_index(C.tangent_at(plane.point(pi))) for pi in C.points()]
+        cnt = np.bincount(plane.lines[tangents].ravel(), minlength=plane.npoints)
         if not (
             ((cls == 1) == (cnt == 2)).all()
             and ((cls == -1) == (cnt == 0)).all()

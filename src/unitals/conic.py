@@ -9,13 +9,12 @@ coefficients and only point-set operations plus the nucleus are offered.
 """
 
 import enum
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 
 import numpy as np
 
 from .gf import GF, QuadraticCharacter, nullspace
-from .geom import PointSet, det3, inv3, matmul3, matvec3, projective_plane, tangent_lines, transpose3
+from .geom import PointSet, det3, inv3, line_counts, matmul3, matvec3, projective_plane, tangent_lines, transpose3
 
 
 class EvenCharacteristicUnsupported(ValueError):
@@ -163,10 +162,7 @@ class Conic:
     def points(self) -> PointSet:
         if self._points is None:
             vals = eval_many(self.field, self.coeffs, _monomials(self.plane))
-            mask = 0
-            for i in np.flatnonzero(vals == 0):
-                mask |= 1 << int(i)
-            self._points = PointSet(self.plane, mask)
+            self._points = PointSet(self.plane, vals == 0)
         return self._points
 
     # -- matrix machinery (odd characteristic) ------------------------------
@@ -201,11 +197,8 @@ class Conic:
         return self._is_oval()
 
     def _is_oval(self) -> bool:
-        n = self.field.order
         pts = self.points()
-        if pts.card != n + 1:
-            return False
-        return all((pts.mask & lm).bit_count() <= 2 for lm in self.plane.line_masks)
+        return pts.card == self.field.order + 1 and bool((line_counts(pts) <= 2).all())
 
     # -- classification ------------------------------------------------------
 
@@ -251,9 +244,10 @@ class Conic:
         if not self._is_oval():
             raise NotIrreducible("point set is not an oval")
         plane = self.plane
-        common = reduce(and_, (plane.line_masks[li] for li in tangent_lines(self.points())))
-        assert common.bit_count() == 1
-        return plane.point(common.bit_length() - 1)
+        tangents = tangent_lines(self.points())
+        hits = np.bincount(plane.lines[tangents].ravel(), minlength=plane.npoints)
+        (common,) = np.flatnonzero(hits == len(tangents)).tolist()
+        return plane.point(common)
 
     def transform(self, M):
         """The conic whose point set is the image of this one under x -> Mx."""

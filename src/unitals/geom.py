@@ -3,17 +3,22 @@
 Points are normalised coordinate tuples (first nonzero coordinate 1) of
 field-element indices.  The canonical point index enumerates normalised
 vectors in lexicographic order; lines of PG(2,n) are enumerated by the same
-scheme through their dual vectors.  PG(5,n) lines are never enumerated
-globally, only constructed from point pairs.
+scheme through their dual vectors.  The incidence of PG(2,n) is one
+(npoints, n+1) int32 array, ``ProjectiveSpace.lines``, whose row li lists
+the points of line li in increasing order.  A point set is a boolean
+membership array (``PointSet``), and ``line_counts`` is the one place that
+counts the points of a set on each line.  PG(5,n) lines are never
+enumerated globally, only constructed from point pairs.
 
-Everything here is immutable after construction.
+Everything here is immutable after construction; the line table and the
+membership arrays are read-only.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .gf import GF, nullspace
+from .gf import GF
 
 
 class UnsupportedDimension(ValueError):
@@ -43,8 +48,8 @@ class ProjectiveSpace:
         self._coords_array = None
         self._point_cache = None
         if dim == 2:
-            self._build_incidence()
-            self._point_cache = tuple(self._point(i) for i in range(self.npoints))
+            self._point_cache = tuple(map(tuple, self.coords_array().tolist()))
+            self.lines = self._build_lines()
 
     def __repr__(self):
         return f"PG({self.dim},{self.field.order})"
@@ -119,24 +124,36 @@ class ProjectiveSpace:
 
     # -- lines -----------------------------------------------------------------
 
-    def _build_incidence(self):
+    def _build_lines(self):
+        """(npoints, n+1) int32 array: row li holds the sorted indices of the
+        points of the line whose dual vector is the point with index li."""
         F = self.field
-        line_points = []
-        masks = []
-        point_lines = [[] for _ in range(self.npoints)]
-        for li in range(self.npoints):
-            b1, b2 = nullspace(F, [self.point(li)])
-            pts = tuple(sorted(self.index(self.normalize(v)) for v in span(F, b1, b2)))
-            assert len(set(pts)) == F.order + 1
-            line_points.append(pts)
-            mask = 0
-            for pi in pts:
-                mask |= 1 << pi
-                point_lines[pi].append(li)
-            masks.append(mask)
-        self.line_points = line_points
-        self.line_masks = masks
-        self.point_lines = [tuple(ls) for ls in point_lines]
+        m = F.order
+        duals = self.coords_array()
+        lead = (duals != 0).argmax(axis=1)
+        # the leading entry of a dual L is 1, at position i; the vectors
+        # e_j - L_j e_i for the two positions j != i span the points x with
+        # L.x = 0 (the smaller j gives b1, the larger b2)
+        rows = np.arange(len(duals))
+
+        def null_vector(j):
+            v = np.zeros_like(duals)
+            v[rows, j] = 1
+            v[rows, lead] = F.neg_table[duals[rows, j]]
+            return v
+
+        b1 = null_vector((lead == 0).astype(np.int64))
+        b2 = null_vector(2 - (lead == 2))
+        # the line's points: b2, then b1 + lambda*b2 for every lambda
+        lam = np.arange(m)
+        pts = np.empty((len(duals), m + 1, 3), dtype=duals.dtype)
+        pts[:, 0] = b2
+        pts[:, 1:] = F.add_table[b1[:, None, :], F.mul_table[lam[None, :, None], b2[:, None, :]]]
+        idx = self.index_rows(pts.reshape(-1, 3)).reshape(len(duals), m + 1)
+        idx.sort(axis=1)
+        out = idx.astype(np.int32)
+        out.flags.writeable = False
+        return out
 
     def line_index(self, dual) -> int:
         return self.index(self.normalize(dual))
@@ -166,7 +183,7 @@ class ProjectiveSpace:
         """
         if self.dim == 2:
             li = line if isinstance(line, int) else self.line_index(line)
-            return [self.point(i) for i in self.line_points[li]]
+            return [self.point(i) for i in self.lines[li].tolist()]
         P, Q = (self.point(i) for i in line)
         idxs = sorted(self.index(self.normalize(c)) for c in span(self.field, P, Q))
         return [self.point(i) for i in idxs]
@@ -266,68 +283,72 @@ def apply_collineation(space: ProjectiveSpace, M, P):
 
 
 class PointSet:
-    """Bit-indexed subset of the points of a projective space."""
+    """Subset of the points of a projective space: a read-only boolean
+    membership array of length npoints."""
 
-    __slots__ = ("space", "mask", "_card")
+    __slots__ = ("space", "member")
 
-    def __init__(self, space: ProjectiveSpace, mask: int = 0):
+    def __init__(self, space: ProjectiveSpace, member):
+        member = np.array(member, dtype=bool)
+        if member.shape != (space.npoints,):
+            raise ValueError(f"membership array must have shape ({space.npoints},)")
+        member.flags.writeable = False
         self.space = space
-        self.mask = mask
-        self._card = None
+        self.member = member
 
     @classmethod
     def from_indices(cls, space, idxs):
-        mask = 0
-        for i in idxs:
-            mask |= 1 << i
-        return cls(space, mask)
+        idxs = np.fromiter(idxs, dtype=np.int64)
+        bad = idxs[(idxs < 0) | (idxs >= space.npoints)]
+        if len(bad):
+            raise ValueError(f"point index {bad[0]} is outside 0..{space.npoints - 1}")
+        member = np.zeros(space.npoints, dtype=bool)
+        member[idxs] = True
+        return cls(space, member)
 
     @property
     def card(self) -> int:
-        if self._card is None:
-            self._card = self.mask.bit_count()
-        return self._card
+        return int(np.count_nonzero(self.member))
 
     def __len__(self):
         return self.card
 
     def contains(self, idx: int) -> bool:
-        return bool(self.mask >> idx & 1)
+        return 0 <= idx < self.space.npoints and bool(self.member[idx])
 
     def indices(self):
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        """Indices of the points in the set, ascending, as Python ints."""
+        return np.flatnonzero(self.member).tolist()
 
     def __iter__(self):
         return iter(self.indices())
 
     def __or__(self, other):
-        return PointSet(self.space, self.mask | other.mask)
+        return PointSet(self.space, self.member | other.member)
 
     def __and__(self, other):
-        return PointSet(self.space, self.mask & other.mask)
+        return PointSet(self.space, self.member & other.member)
 
     def __sub__(self, other):
-        return PointSet(self.space, self.mask & ~other.mask)
+        return PointSet(self.space, self.member & ~other.member)
 
     def __eq__(self, other):
-        return isinstance(other, PointSet) and self.space is other.space and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((id(self.space), self.mask))
+        return (
+            isinstance(other, PointSet)
+            and self.space is other.space
+            and np.array_equal(self.member, other.member)
+        )
 
     def complement(self):
-        full = (1 << self.space.npoints) - 1
-        return PointSet(self.space, full & ~self.mask)
+        return PointSet(self.space, ~self.member)
+
+
+def line_counts(S: PointSet):
+    """Number of points of S on each line of PG(2,n), indexed by line."""
+    return np.count_nonzero(S.member[S.space.lines], axis=1)
 
 
 def tangent_lines(S: PointSet):
     """Indices of the lines of PG(2,n) meeting the point set S in exactly
     one point, in increasing order."""
-    mask = S.mask
-    return [li for li, lm in enumerate(S.space.line_masks) if (mask & lm).bit_count() == 1]
+    return np.flatnonzero(line_counts(S) == 1)

@@ -6,10 +6,15 @@ The verifier reports the full line-intersection profile rather than a bare
 boolean; the profile doubles as the two-intersection-set witness.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import or_
+
+import numpy as np
 
 from .conic import PencilKind, canonical_pencil
-from .geom import PointSet, projective_plane, tangent_lines
+from .geom import PointSet, line_counts, projective_plane, tangent_lines
 from .gf import GF, _isqrt_exact
 
 
@@ -42,13 +47,9 @@ def hermitian_unital(F: GF) -> PointSet:
     x^(q+1) + y^(q+1) + z^(q+1) = 0."""
     q = unital_q(F)
     plane = projective_plane(F)
-    norm = [F.pow(e, q + 1) for e in F.elements()]
-    mask = 0
-    for i in range(plane.npoints):
-        x, y, z = plane.point(i)
-        if F.add(F.add(norm[x], norm[y]), norm[z]) == 0:
-            mask |= 1 << i
-    return PointSet(plane, mask)
+    norm = np.array([F.pow(e, q + 1) for e in F.elements()])
+    x, y, z = norm[plane.coords_array().T]
+    return PointSet(plane, F.add_table[F.add_table[x, y], z] == 0)
 
 
 def behs_unital(F: GF, t: int | None = None):
@@ -63,11 +64,7 @@ def behs_unital(F: GF, t: int | None = None):
         raise TIsSquare(f"t = {t} is a square")
     params = sorted(F.mul(t, u) for u in F.subfield_elements(q))
     conics = [canonical_pencil(F, PencilKind.PARABOLIC, F.neg(a)) for a in params]
-    plane = projective_plane(F)
-    mask = 0
-    for C in conics:
-        mask |= C.points().mask
-    return PointSet(plane, mask), conics
+    return reduce(or_, (C.points() for C in conics)), conics
 
 
 @dataclass
@@ -93,13 +90,9 @@ def is_unital(S: PointSet) -> UnitalReport:
     line in 1 or q+1 points and has q^3+1 points."""
     plane = S.space
     q = unital_q(plane.field)
-    profile: dict = {}
-    failures = []
-    for li, lm in enumerate(plane.line_masks):
-        size = (S.mask & lm).bit_count()
-        profile[size] = profile.get(size, 0) + 1
-        if size not in (1, q + 1):
-            failures.append(li)
+    sizes = line_counts(S)
+    profile = dict(Counter(sizes.tolist()))
+    failures = np.flatnonzero((sizes != 1) & (sizes != q + 1)).tolist()
     ok = S.card == q**3 + 1 and not failures
     return UnitalReport(ok, q, S.card, profile, failures)
 
@@ -131,20 +124,9 @@ def tangent_structure(S: PointSet) -> TangentReport:
         raise NotAUnital("tangent structure is only defined for unitals")
     plane = S.space
     q = report.q
-    per_point = [0] * plane.npoints
-    for li in tangent_lines(S):
-        for pi in plane.line_points[li]:
-            per_point[pi] += 1
-    on_profile: dict = {}
-    off_profile: dict = {}
-    violations = []
-    for pi, cnt in enumerate(per_point):
-        if S.contains(pi):
-            on_profile[cnt] = on_profile.get(cnt, 0) + 1
-            if cnt != 1:
-                violations.append(pi)
-        else:
-            off_profile[cnt] = off_profile.get(cnt, 0) + 1
-            if cnt != q + 1:
-                violations.append(pi)
-    return TangentReport(not violations, q, per_point, on_profile, off_profile, violations)
+    per_point = np.bincount(plane.lines[tangent_lines(S)].ravel(), minlength=plane.npoints)
+    on = S.member
+    on_profile = dict(Counter(per_point[on].tolist()))
+    off_profile = dict(Counter(per_point[~on].tolist()))
+    violations = np.flatnonzero(np.where(on, per_point != 1, per_point != q + 1)).tolist()
+    return TangentReport(not violations, q, per_point.tolist(), on_profile, off_profile, violations)

@@ -49,15 +49,6 @@ def is_on_veronese(F: GF, q) -> bool:
     return symmetric_rank_leq1(F, q)
 
 
-def conic_vpoint(C: Conic):
-    """PG(5,q) coordinates of the point representing a conic."""
-    return C.coeffs
-
-
-def vpoint_conic(F: GF, q) -> Conic:
-    return Conic(F, q)
-
-
 def line_meets_veronese(F: GF, P, Q):
     """The points of the line PQ of PG(5,n) lying on V, canonical order."""
     space = projective_space(F, 5)

@@ -7,7 +7,6 @@ stays inside the per-criterion budgets on one CPU.
 """
 
 import json
-import random
 import subprocess
 import sys
 import time
@@ -28,8 +27,7 @@ from unitals.analysis import (
     PencilType,
     verify_afkl,
 )
-from unitals.conic import Conic, PencilKind, canonical_pencil
-from unitals.geom import projective_plane
+from unitals.cli import run_theorem3
 from unitals.gf import field
 from unitals.unital import behs_unital, hermitian_unital, is_unital, tangent_structure
 from unitals.veronese import (
@@ -71,35 +69,8 @@ def test_criterion_2_theorem3_oracle_equivalence():
     t0 = time.time()
     ok = True
     for p in (3, 5, 7):
-        F = field(p, 2)
-        n = F.order
-        plane = projective_plane(F)
-        conics = [
-            canonical_pencil(F, PencilKind.HYPERBOLIC, 1),
-            canonical_pencil(F, PencilKind.ELLIPTIC, 1),
-            canonical_pencil(F, PencilKind.PARABOLIC, 0),
-        ]
-        rng = random.Random(7)
-        while len(conics) < 103:
-            coeffs = tuple(rng.randrange(n) for _ in range(6))
-            if any(coeffs):
-                C = Conic(F, coeffs)
-                if C.rank() == 3:
-                    conics.append(C)
-        for C in conics:
-            cls = C.classify_array()
-            counts = (int((cls == 0).sum()), int((cls == 1).sum()), int((cls == -1).sum()))
-            ok &= counts == (n + 1, n * (n + 1) // 2, n * (n - 1) // 2)
-            cnt = np.zeros(plane.npoints, dtype=np.int64)
-            for pi in C.points().indices():
-                li = plane.line_index(C.tangent_at(plane.point(pi)))
-                for pj in plane.line_points[li]:
-                    cnt[pj] += 1
-            ok &= bool(
-                ((cls == 1) == (cnt == 2)).all()
-                and ((cls == -1) == (cnt == 0)).all()
-                and ((cls == 0) == (cnt == 1)).all()
-            )
+        rep = run_theorem3(field(p, 2), 100, 7)
+        ok &= rep["ok"] and rep["conics_checked"] == 103
     dt = report(2, ok, t0, "point classifier == tangent counting, 103 conics over each n in {9,25,49}")
     assert ok and dt < 60.0
 

@@ -200,12 +200,12 @@ def test_certify_behs_transformed_frame():
 def test_certify_behs_every_t_class_q3():
     # distinct non-square classes t*GF(q)* give distinct unitals, all BEHS
     F = field(3, 2)
-    masks = set()
+    sets = set()
     for t in F.nonsquares():
         U, _ = behs_unital(F, t)
-        masks.add(U.mask)
+        sets.add(tuple(U.indices()))
         assert certify_union_of_conics(U).signature == "BEHS"
-    assert len(masks) == 2  # 4 non-squares fall into 2 classes mod GF(3)*
+    assert len(sets) == 2  # 4 non-squares fall into 2 classes mod GF(3)*
 
 
 def test_certify_behs_second_t_class_q5():

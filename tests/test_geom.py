@@ -13,9 +13,11 @@ from unitals.geom import (
     apply_collineation,
     det3,
     inv3,
+    line_counts,
     matmul3,
     projective_plane,
     projective_space,
+    tangent_lines,
 )
 
 
@@ -69,23 +71,25 @@ def test_index_rows_matches_normalize_and_index(p, h, d):
 def test_two_points_one_line_exhaustive(p, h):
     plane = projective_plane(field(p, h))
     n = plane.field.order
+    lines = plane.lines.tolist()
+    lines_through = [[li for li, pts in enumerate(lines) if pi in pts] for pi in range(plane.npoints)]
     for P, Q in combinations(plane.points(), 2):
         L = plane.line_through(P, Q)
         li = plane.line_index(L)
-        pts = plane.line_points[li]
+        pts = lines[li]
         assert plane.index(P) in pts and plane.index(Q) in pts
         # no second line carries both
-        both = [l for l in plane.point_lines[plane.index(P)] if plane.index(Q) in plane.line_points[l]]
+        both = [l for l in lines_through[plane.index(P)] if plane.index(Q) in lines[l]]
         assert both == [li]
-    assert all(len(lp) == n + 1 for lp in plane.line_points)
-    assert all(len(pl) == n + 1 for pl in plane.point_lines)
+    assert all(len(set(lp)) == n + 1 for lp in lines)
+    assert all(len(pl) == n + 1 for pl in lines_through)
 
 
 def test_two_points_one_line_pg2_25():
     plane = projective_plane(field(5, 2))
     n = plane.field.order
     # every pair of distinct lines meets in exactly one point
-    line_sets = [frozenset(lp) for lp in plane.line_points]
+    line_sets = [frozenset(lp) for lp in plane.lines.tolist()]
     for a, b in combinations(line_sets, 2):
         assert len(a & b) == 1
     # every point pair lies on exactly one line: each line carries C(26,2)
@@ -149,10 +153,10 @@ def test_collineations_preserve_collinearity(p, h):
         if det3(F, M) == 0:
             continue
         li = rng.randrange(plane.npoints)
-        P, Q, R = (plane.point(i) for i in plane.line_points[li][:3])
+        P, Q, R = (plane.point(i) for i in plane.lines[li, :3].tolist())
         P2, Q2, R2 = (apply_collineation(plane, M, X) for X in (P, Q, R))
         L2 = plane.line_through(P2, Q2)
-        assert plane.index(R2) in plane.line_points[plane.line_index(L2)]
+        assert plane.index(R2) in plane.lines[plane.line_index(L2)].tolist()
 
 
 def test_pointset_operations():
@@ -166,3 +170,41 @@ def test_pointset_operations():
     assert (A - B).indices() == [0, 5]
     assert A.complement().card == 10
     assert list(A) == [0, 3, 5]
+    assert A == PointSet.from_indices(plane, [5, 0, 3, 0]) and A != B
+    assert not A.contains(-1) and not A.contains(13)
+    with pytest.raises(ValueError):
+        A.member[1] = True
+
+
+@pytest.mark.parametrize("bad", [-1, 13, 100])
+def test_from_indices_refuses_points_outside_the_plane(bad):
+    plane = projective_plane(field(3))
+    with pytest.raises(ValueError):
+        PointSet.from_indices(plane, [0, bad])
+
+
+def test_line_counts():
+    plane = projective_plane(field(3))
+    S = PointSet.from_indices(plane, plane.lines[4].tolist() + [0])
+    counts = line_counts(S)
+    assert counts.tolist() == [len(set(pts) & set(S.indices())) for pts in plane.lines.tolist()]
+    assert counts[4] == 4
+    assert tangent_lines(S).tolist() == [li for li, c in enumerate(counts.tolist()) if c == 1]
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_lines_match_scalar_incidence(p, h):
+    # row li of the line table is {i : L.point(i) = 0} for the dual L with
+    # index li, computed here with scalar field arithmetic
+    F = field(p, h)
+    plane = projective_plane(F)
+    pts = plane.points()
+    assert plane.lines.shape == (plane.npoints, F.order + 1)
+    assert plane.lines.dtype == np.int32
+    for li, L in enumerate(pts):
+        on = [
+            i
+            for i, X in enumerate(pts)
+            if F.add(F.add(F.mul(L[0], X[0]), F.mul(L[1], X[1])), F.mul(L[2], X[2])) == 0
+        ]
+        assert plane.lines[li].tolist() == on

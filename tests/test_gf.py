@@ -195,6 +195,14 @@ def test_numpy_tables_match_scalar_ops():
         chi = F.character_table
         for e in F.elements():
             assert chi[e] == F.quadratic_character(e).value
+        inv = F.inv_table
+        assert inv[0] == 0 and all(inv[a] == F.inv(a) for a in F.units())
+        # built once per field
+        assert F.add_table is add and F.mul_table is mul and F.inv_table is inv
+    big = GF(2, 13)  # order 8192, above TABLE_LIMIT
+    for name in ("add_table", "mul_table"):
+        with pytest.raises(ValueError, match="too large for dense tables"):
+            getattr(big, name)
 
 
 def test_nullspace():

@@ -18,13 +18,11 @@ from unitals.veronese import (
     cone_contains,
     cone_point_indices,
     cone_residual_intersection,
-    conic_vpoint,
     is_on_veronese,
     line_meets_veronese,
     swept_cone_indices,
     veronese_indices,
     veronese_point,
-    vpoint_conic,
 )
 
 
@@ -52,7 +50,7 @@ def test_is_on_veronese():
     assert is_on_veronese(F, (0, 0, 1, 0, 0, 0))
     assert not is_on_veronese(F, (1, 1, 1, 0, 0, 0))
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-    assert not is_on_veronese(F, conic_vpoint(C))
+    assert not is_on_veronese(F, C.coeffs)
 
 
 def test_conic_vpoint_roundtrip():
@@ -64,7 +62,7 @@ def test_conic_vpoint_roundtrip():
         if not any(coeffs):
             continue
         C = Conic(F, coeffs)
-        assert vpoint_conic(F, conic_vpoint(C)) == C
+        assert Conic(F, C.coeffs) == C
 
 
 def test_rank1_conics_are_exactly_the_surface():
@@ -96,11 +94,11 @@ def test_singular_hypersurface_double_count():
 def test_cone_contains():
     F = field(3, 2)
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-    assert cone_contains(C, conic_vpoint(C))
+    assert cone_contains(C, C.coeffs)
     assert cone_contains(C, (0, 0, 1, 0, 0, 0))
     assert cone_contains(C, (1, 1, 1, 1, 1, 1))
     D = canonical_pencil(F, PencilKind.HYPERBOLIC, 2)
-    assert cone_contains(C, conic_vpoint(D))
+    assert cone_contains(C, D.coeffs)
     with pytest.raises(RankOne):
         cone_contains(Conic(F, (0, 0, 1, 0, 0, 0)), (1, 0, 0, 0, 0, 0))
 
