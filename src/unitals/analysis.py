@@ -5,6 +5,18 @@ conics.
 
 All searches are exact and deterministic; sampling operations take an
 explicit seed.
+
+Conic enumeration rests on one identity.  Let P, Q be points of a set S
+with unique tangent lines L_P, L_Q (so Q is not on L_P, nor P on L_Q), and
+let M = P x Q be the line PQ.  The conics through P and Q that touch L_P
+at P and L_Q at Q are exactly the pencil M^2 + lam*L_P*L_Q.  Proof: take
+coordinates with P = (0,0,1), L_P: x = 0, Q = (1,0,0), L_Q: z = 0 (the
+corner L_P . L_Q is off the line PQ, since Q is not on L_P); the four
+tangency conditions leave a22*y^2 + 2*a13*xz, and M = y, L_P*L_Q = xz.
+Every member with lam != 0 is irreducible.  A point X other than P and Q
+lies on no member if it is on L_P or L_Q (M(X) != 0 there), and otherwise
+on the member lam = -M(X)^2 / (L_P(X)*L_Q(X)) alone, which is 0 when X is
+on the line PQ.
 """
 
 import enum
@@ -209,17 +221,35 @@ def case1_exceptional_vpoints(F: GF, k: int, beta: int):
 
 
 def _unique_tangents(S: PointSet):
-    """Map point index -> dual of the unique 1-point line through it, or
-    None when some point lacks one."""
+    """(|S|, 3) array whose row i is the dual vector of the unique 1-point
+    line through the i-th point of S, or None when some point lacks one."""
     plane = S.space
     tangents = tangent_lines(S)
     rows = plane.lines[tangents]
     # a tangent line's row holds exactly one point of S, so every point has
     # one tangent exactly when the touched points are S, each once
-    touch = rows[S.member[rows]].tolist()
-    if sorted(touch) != S.indices():
+    touch = rows[S.member[rows]]
+    order = np.argsort(touch)
+    if not np.array_equal(touch[order], np.flatnonzero(S.member)):
         return None
-    return {pi: plane.point(li) for pi, li in zip(touch, tangents.tolist())}
+    return plane.coords_array()[tangents[order]]
+
+
+def _dot(F: GF, U, V):
+    """u0*v0 + u1*v1 + u2*v2 over F for broadcast (..., 3) arrays."""
+    mul, add = F.mul_table, F.add_table
+    return add[add[mul[U[..., 0], V[..., 0]], mul[U[..., 1], V[..., 1]]], mul[U[..., 2], V[..., 2]]]
+
+
+def _cross(F: GF, U, V):
+    """U x V over F for broadcast (..., 3) arrays: the line through two
+    points, or the point on two lines."""
+    mul, add, neg = F.mul_table, F.add_table, F.neg_table
+
+    def minor(i, j):
+        return add[mul[U[..., i], V[..., j]], neg[mul[U[..., j], V[..., i]]]]
+
+    return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
 
 
 def _conics_contained_exhaustive(S: PointSet):
@@ -246,69 +276,85 @@ def _conics_contained_exhaustive(S: PointSet):
 
 
 def _conics_contained_pencils(S: PointSet, tangents):
-    """Output-sensitive search: for every point pair of S, the conics
-    tangent at both points to the set's own tangent lines form a pencil;
-    scan its members for irreducible conics contained in S."""
+    """Bitangent-pencil search (the identity is in the module docstring).
+    A conic inside S touches S's tangent at each of its points, so it is a
+    member lam != 0 of the pencil M^2 + lam*L_P*L_Q of any two of its points
+    P, Q.  That member holds an off-set point X exactly when
+    lam = -M(X)^2 / (L_P(X)*L_Q(X)); for each P one gather over (later Q) x
+    (complement) marks the killed lam, and the unkilled ones are the conics.
+
+    The gather works in discrete logarithms.  X x P = c_X * u_X with u_X one
+    of the n+1 normalised lines through P, so M(X) = c_X * (u_X . Q).  A
+    factor that is 0 kills no lam; its log is a sentinel past any sum of
+    three valid logs, and one lookup maps a sum to log lam or to a dump
+    column."""
     plane = S.space
     F = plane.field
+    g = F.order - 1
+    lg = F.log_table.astype(np.int16)
+    coords = plane.coords_array().astype(np.intp)
+    pts = coords[S.member]
+    comp = coords[~S.member]
+    zero = 3 * g - 2
+    lookup = np.full(3 * zero + 1, g, dtype=np.int16)
+    lookup[:zero] = np.arange(zero) % g
+
+    def logs(vals, scale):
+        return np.where(vals == 0, zero, scale * lg[vals] % g)
+
+    # e[Q, X] = log 1/L_Q(X), for every point of S: |S| x |complement|
+    e = logs(_dot(F, tangents[:, None, :], comp[None, :, :]), -1)
+    log_minus_one = g // 2
+    rows = []
+    for i, P in enumerate(pts[:-1]):
+        xp = _cross(F, comp, P)
+        c = xp[np.arange(len(comp)), (xp != 0).argmax(axis=1)]
+        a = np.where(e[i] == zero, zero, (log_minus_one + 2 * lg[c] + e[i]) % g)
+        through_p, r = np.unique(plane.index_rows(xp), return_inverse=True)
+        # b[Q, j] = log (u_j . Q)^2 for the lines u_j through P
+        b = logs(_dot(F, pts[:, None, :], coords[through_p][None, :, :]), 2)
+        # nearly every Q has all lam killed within the first few n off-set
+        # points, so later blocks, each twice as wide, go to the rest only
+        qi = np.arange(i + 1, len(pts))
+        killed = np.zeros((len(qi), g + 1), dtype=bool)
+        lo, width = 0, 8 * g
+        while lo < len(comp) and len(qi):
+            cols = slice(lo, lo + width)
+            lo, width = lo + width, 2 * width
+            lam = lookup[a[cols] + b[qi][:, r[cols]] + e[qi, cols]]
+            killed[np.arange(len(qi))[:, None], lam] = True
+            alive = ~killed[:, :g].all(axis=1)
+            qi, killed = qi[alive], killed[alive]
+        live, k = np.nonzero(~killed[:, :g])
+        if len(live):
+            Q = pts[qi[live]]
+            rows.append(_pencil_member(F, _cross(F, P, Q), tangents[i], tangents[qi[live]], F.exp_table[k]))
+    if not rows:
+        return []
     space5 = projective_space(F, 5)
-    mon = _monomials(plane)
-    mon_comp = mon[S.complement().indices()]
-    idxs = S.indices()
-    found = {}
-    seen = set()
-
-    def flag_rows(P, L):
-        x, y, z = P
-        u = ((x, 0, 0, y, z, 0), (0, y, 0, x, 0, z), (0, 0, z, 0, x, y))
-        rows = []
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            rows.append(tuple(F.sub(F.mul(L[b], ua), F.mul(L[a], ub)) for ua, ub in zip(u[a], u[b])))
-        return rows
-
-    for ii, pi in enumerate(idxs):
-        rows_i = [mon[pi].tolist()] + flag_rows(plane.point(pi), tangents[pi])
-        for pj in idxs[ii + 1 :]:
-            rows = rows_i + [mon[pj].tolist()] + flag_rows(plane.point(pj), tangents[pj])
-            basis = nullspace(F, rows)
-            if not basis or len(basis) > 3:
-                continue
-            for coeffs in _span_coeffs(F, basis):
-                C = Conic(F, coeffs)
-                if C.coeffs in seen:
-                    continue
-                seen.add(C.coeffs)
-                # containment before the rank: measured faster than the
-                # other order
-                if (eval_many(F, C.coeffs, mon_comp) != 0).all() and C.rank() == 3:
-                    found[space5.index(C.coeffs)] = C
-    return [found[i] for i in sorted(found)]
+    found = np.unique(space5.index_rows(np.concatenate(rows)))
+    return [Conic(F, space5.point(int(j))) for j in found]
 
 
-def _span_coeffs(F: GF, basis):
-    """Normalised representatives of the projective points spanned by up to
-    three independent coefficient vectors."""
-    if len(basis) == 1:
-        yield basis[0]
-        return
-    if len(basis) == 2:
-        yield from span(F, *basis)
-        return
-    b1, b2, b3 = basis
-    for mu in F.elements():
-        for lam in F.elements():
-            yield tuple(
-                F.add(x, F.add(F.mul(lam, y), F.mul(mu, z))) for x, y, z in zip(b1, b2, b3)
-            )
-    yield from span(F, b2, b3)
+def _pencil_member(F: GF, m, lp, lq, lam):
+    """(k, 6) coefficient rows (a11,a22,a33,a12,a13,a23) of the conics
+    M^2 + lam*L_P*L_Q, one per row of m, lp, lq and entry of lam: the
+    symmetric matrix m m^T + lam/2 (lp lq^T + lq lp^T)."""
+    mul, add = F.mul_table, F.add_table
+    half = F.inv(F.add(1, 1))
+    out = []
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        mixed = add[mul[lp[..., i], lq[..., j]], mul[lp[..., j], lq[..., i]]]
+        out.append(add[mul[m[:, i], m[:, j]], mul[lam, mul[half, mixed]]])
+    return np.stack(out, axis=1)
 
 
 def conics_contained(S: PointSet, method: str = "auto"):
     """Every irreducible conic whose point set lies inside S, each exactly
     once, in canonical order.
 
-    "pencil" uses the output-sensitive tangent-flag search (needs a unique
-    tangent line at every point of S, as in a unital or a single conic);
+    "pencil" uses the bitangent-pencil search (needs a unique tangent line
+    at every point of S, as in a unital or a single conic);
     "exhaustive" sweeps all coefficient tuples and is the oracle for
     plane order <= 25.
     """
@@ -460,10 +506,8 @@ def _transform_points(plane, M, pts: PointSet) -> PointSet:
     F = plane.field
     if det3(F, M) == 0:
         raise ValueError("transform needs an invertible matrix")
-    mul, add = F.mul_table, F.add_table
-    x, y, z = plane.coords_array()[pts.member].T
-    images = np.stack([add[add[mul[a, x], mul[b, y]], mul[c, z]] for a, b, c in M], axis=1)
-    return PointSet.from_indices(plane, plane.index_rows(images))
+    images = _dot(F, np.array(M)[:, None], plane.coords_array()[pts.member])
+    return PointSet.from_indices(plane, plane.index_rows(images.T))
 
 
 def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:

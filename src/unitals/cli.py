@@ -43,15 +43,8 @@ def _prime_power(n: int):
     raise UsageError("order must be at least 2")
 
 
-def _element(F: GF, value: int, option: str) -> int:
-    """A field element given on the command line, refused unless in 0..n-1."""
-    if not 0 <= value < F.order:
-        raise UsageError(f"{option} {value} is not a field element (0..{F.order - 1})")
-    return value
-
-
 def _conic_arg(F: GF, text: str, option: str) -> Conic:
-    return Conic(F, tuple(_element(F, int(c), option) for c in text.split(",")))
+    return Conic(F, tuple(F.require_element(int(c), option) for c in text.split(",")))
 
 
 def field_from_args(args, need_square=False) -> GF:
@@ -368,7 +361,7 @@ def _build_set(args, F: GF):
         return hermitian_unital(F), None
     t = getattr(args, "t", None)
     if t is not None:
-        _element(F, t, "--t")
+        F.require_element(t, "--t")
     S, conics = behs_unital(F, t)
     return S, conics
 
@@ -423,9 +416,9 @@ def cmd_classify_pair(args) -> int:
         C = _conic_arg(F, args.conic, "--conic")
         D = _conic_arg(F, args.conic2, "--conic2")
     elif args.case is not None and args.k is not None:
-        C, D = analysis.canonical_case_pair(F, args.case, _element(F, args.k, "--k"))
+        C, D = analysis.canonical_case_pair(F, args.case, F.require_element(args.k, "--k"))
         if args.k2 is not None:
-            D = analysis.canonical_case_pair(F, args.case, _element(F, args.k2, "--k2"))[1]
+            D = analysis.canonical_case_pair(F, args.case, F.require_element(args.k2, "--k2"))[1]
     else:
         raise UsageError("give --conic/--conic2 or --case with --k")
     rep = analysis.classify_pair(C, D)
@@ -441,7 +434,7 @@ def cmd_cone_residual(args) -> int:
         raise UsageError(f"cone-residual needs odd characteristic; GF({F.order}) has characteristic 2")
     k = None
     if args.k is not None:
-        k = _element(F, args.k, "--k")
+        k = F.require_element(args.k, "--k")
         ks = analysis.admissible_ks(F, args.case)
         if k not in ks:
             listed = ", ".join(map(str, ks)) or "none"

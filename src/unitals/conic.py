@@ -117,6 +117,8 @@ class Conic:
         coeffs = tuple(coeffs)
         if len(coeffs) != 6:
             raise ValueError("a conic needs 6 coefficients")
+        if min(coeffs) < 0 or max(coeffs) >= F.order:
+            raise ValueError(f"coefficients {coeffs} are not all field elements (0..{F.order - 1})")
         lead = next((c for c in coeffs if c), None)
         if lead is None:
             raise ValueError("all-zero coefficient tuple")
@@ -266,6 +268,7 @@ def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) 
     non-square), parabolic 2yz = x^2 + kz^2."""
     if F.p == 2:
         raise EvenCharacteristicUnsupported("canonical pencils use the factor-2 form")
+    F.require_element(k, "k")
     kind = PencilKind(kind)
     if kind == PencilKind.HYPERBOLIC:
         if k == 0:
@@ -274,7 +277,7 @@ def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) 
     if kind == PencilKind.ELLIPTIC:
         if alpha is None:
             alpha = min(F.nonsquares())
-        if F.is_square(alpha):
+        if F.is_square(F.require_element(alpha, "alpha")):
             raise AlphaIsSquare(f"alpha = {alpha} is a square")
         if k == 0:
             raise ValueError("k = 0 gives a singular member")

@@ -335,6 +335,13 @@ class GF:
             raise NotASubfieldOrder(f"{small_order}^2 != {self.order}")
         return self.pow(a, small_order + 1)
 
+    def require_element(self, a: int, what: str = "element") -> int:
+        """a, when it is a field element (an index 0..order-1); ValueError
+        otherwise."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"{what} {a} is not a field element (0..{self.order - 1})")
+        return a
+
     def elements(self):
         return range(self.order)
 
@@ -361,13 +368,22 @@ class GF:
     def mul_table(self):
         if self.order > TABLE_LIMIT:
             raise ValueError(f"order {self.order} too large for dense tables")
-        m = self.order
-        lg = np.array(self._log, dtype=np.int64)
-        ex = np.array(self._exp, dtype=np.int64)
-        out = ex[(lg[:, None] + lg[None, :]) % (m - 1)]
+        lg = self.log_table
+        out = self.exp_table[(lg[:, None] + lg[None, :]) % (self.order - 1)]
         out[0, :] = 0
         out[:, 0] = 0
-        return out.astype(self._dtype())
+        return out
+
+    @_built_on_first_use
+    def log_table(self):
+        """int64 discrete logarithm of every element to the base
+        ``generator``; the entry of 0 is 0 and means nothing."""
+        return np.array(self._log, dtype=np.int64)
+
+    @_built_on_first_use
+    def exp_table(self):
+        """generator**k for k in 0..order-2."""
+        return np.array(self._exp, dtype=self._dtype())
 
     @_built_on_first_use
     def inv_table(self):

@@ -60,7 +60,7 @@ def behs_unital(F: GF, t: int | None = None):
         raise EvenQ("the conic-union construction needs q odd")
     if t is None:
         t = min(F.nonsquares())
-    if F.is_square(t):
+    if F.is_square(F.require_element(t, "t")):
         raise TIsSquare(f"t = {t} is a square")
     params = sorted(F.mul(t, u) for u in F.subfield_elements(q))
     conics = [canonical_pencil(F, PencilKind.PARABOLIC, F.neg(a)) for a in params]

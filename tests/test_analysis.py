@@ -19,10 +19,11 @@ from unitals.analysis import (
     random_invertible,
     verify_afkl,
     _transform_points,
+    _unique_tangents,
 )
-from unitals.conic import Conic, PencilKind, SingularConic, canonical_pencil
-from unitals.geom import projective_plane
-from unitals.gf import field
+from unitals.conic import Conic, PencilKind, SingularConic, _monomials, canonical_pencil
+from unitals.geom import projective_plane, projective_space
+from unitals.gf import field, nullspace
 from unitals.unital import NotAUnital, behs_unital, hermitian_unital
 
 
@@ -159,6 +160,96 @@ def test_conics_contained_single_conic():
     F = field(3, 2)
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
     assert conics_contained(C.points()) == [C]
+
+
+def _flag_rows(F, P, L):
+    """Rows of the three 2x2 minors of (A.P, L): zero on the coefficient
+    tuples of the conics whose polar of P is L (or which are singular at P)."""
+    x, y, z = P
+    u = ((x, 0, 0, y, z, 0), (0, y, 0, x, 0, z), (0, 0, z, 0, x, y))
+    return [
+        tuple(F.sub(F.mul(L[b], ua), F.mul(L[a], ub)) for ua, ub in zip(u[a], u[b]))
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    ]
+
+
+def _product_coeffs(F, U, V):
+    """Coefficient tuple (a11,a22,a33,a12,a13,a23) of the form U(X)*V(X)."""
+    half = F.inv(F.add(1, 1))
+    sym = lambda i, j: F.mul(half, F.add(F.mul(U[i], V[j]), F.mul(U[j], V[i])))
+    return tuple(sym(i, j) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+
+
+def _pairing(F, row, c):
+    acc = 0
+    for r, x in zip(row, c):
+        acc = F.add(acc, F.mul(r, x))
+    return acc
+
+
+def test_bitangent_pencil_identity_against_null_space():
+    # the conics through P and Q touching L_P at P and L_Q at Q, solved as a
+    # scalar null space, are the pencil spanned by M^2 and L_P*L_Q
+    F = field(3, 2)
+    plane = projective_plane(F)
+    mon = _monomials(plane)
+    U, _ = behs_unital(F)
+    sets = [U, hermitian_unital(F), canonical_pencil(F, PencilKind.ELLIPTIC, 1).points()]
+    pairs = 0
+    for S in sets:
+        tangents = dict(zip(S.indices(), map(tuple, _unique_tangents(S).tolist())))
+        for pi, qi in combinations(S.indices(), 2):
+            P, Q = plane.point(pi), plane.point(qi)
+            rows = [mon[pi].tolist(), mon[qi].tolist()]
+            rows += _flag_rows(F, P, tangents[pi]) + _flag_rows(F, Q, tangents[qi])
+            basis = nullspace(F, rows)
+            M = plane.line_through(P, Q)
+            pencil = [_product_coeffs(F, M, M), _product_coeffs(F, tangents[pi], tangents[qi])]
+            # both generators solve every row, and they are independent
+            assert len(basis) == 2
+            for c in pencil:
+                assert all(_pairing(F, row, c) == 0 for row in rows)
+            assert len(nullspace(F, [pencil[0], pencil[1]])) == 4
+            pairs += 1
+    assert pairs == 2 * 378 + 45
+
+
+def test_pencil_search_matches_exhaustive_n9():
+    F = field(3, 2)
+    plane = projective_plane(F)
+    rng = random.Random(6)
+    sets = [behs_unital(F, t)[0] for t in F.nonsquares()] + [hermitian_unital(F)]
+    sets += [_transform_points(plane, random_invertible(F, rng), S) for S in list(sets) for _ in range(2)]
+    counts = []
+    for S in sets:
+        got = conics_contained(S, method="pencil")
+        assert got == conics_contained(S, method="exhaustive")
+        counts.append(len(got))
+    assert counts == [3, 3, 3, 3, 0] + [3] * 8 + [0] * 2
+
+
+@pytest.mark.parametrize("p,h,count", [(3, 2, 6), (5, 2, 4), (7, 2, 3), (3, 4, 2)])
+def test_pencil_search_finds_single_random_conic(p, h, count):
+    F = field(p, h)
+    rng = random.Random(p * 100 + h)
+    found = 0
+    while found < count:
+        C = Conic(F, [rng.randrange(F.order) for _ in range(6)])
+        if C.rank() != 3:
+            continue
+        assert conics_contained(C.points(), method="pencil") == [C]
+        found += 1
+
+
+def test_pencil_search_q7():
+    F = field(7, 2)
+    U, conics = behs_unital(F)
+    got = conics_contained(U, method="pencil")
+    assert sorted(C.coeffs for C in got) == sorted(C.coeffs for C in conics)
+    assert len(got) == 7
+    space5 = projective_space(F, 5)
+    assert [space5.index(C.coeffs) for C in got] == sorted(space5.index(C.coeffs) for C in got)
+    assert conics_contained(hermitian_unital(F), method="pencil") == []
 
 
 def test_verify_afkl_guard():

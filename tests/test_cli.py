@@ -212,3 +212,13 @@ def test_report_all_stdout_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c0af163d87ced8300bab27ce6cff7c03c9ac8ab35c9f4c121d68d1e90d912332"
     )
+
+
+def test_report_all_q5_stdout_is_byte_identical(capsys):
+    # the reference hash of `report-all --q 5 --seed 7`, which runs every
+    # claim, AFKL at order 25 and the exhaustive conic cross-checks included
+    assert main(["report-all", "--q", "5", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "85d7c29d3d7550958f0c3f2b4846573168f373c677fe2cae3cad272496871029"
+    )

@@ -315,3 +315,15 @@ def test_symmetry_needs_both_directions():
     cnt = tangent_count_oracle(D)
     diffs = (C.points() - D.points()).indices()
     assert all(cnt[i] == 2 for i in diffs)
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 99])
+def test_out_of_range_elements_are_refused(bad):
+    F = field(3, 2)
+    with pytest.raises(ValueError, match="not all field elements"):
+        Conic(F, (1, 2, 3, 4, 5, bad))
+    for kind in PencilKind:
+        with pytest.raises(ValueError, match=f"k {bad} is not a field element"):
+            canonical_pencil(F, kind, bad)
+    with pytest.raises(ValueError, match=f"alpha {bad} is not a field element"):
+        canonical_pencil(F, PencilKind.ELLIPTIC, 1, bad)

@@ -197,6 +197,9 @@ def test_numpy_tables_match_scalar_ops():
             assert chi[e] == F.quadratic_character(e).value
         inv = F.inv_table
         assert inv[0] == 0 and all(inv[a] == F.inv(a) for a in F.units())
+        lg, ex = F.log_table, F.exp_table
+        assert len(ex) == F.order - 1
+        assert all(ex[k] == F.pow(F.generator, k) and lg[ex[k]] == k for k in range(F.order - 1))
         # built once per field
         assert F.add_table is add and F.mul_table is mul and F.inv_table is inv
     big = GF(2, 13)  # order 8192, above TABLE_LIMIT
@@ -221,3 +224,11 @@ def test_nullspace():
             for r, x in zip(row, v):
                 acc = F.add(acc, F.mul(r, x))
             assert acc == 0
+
+
+@pytest.mark.parametrize("a", [-1, 9, 99])
+def test_require_element_refuses_non_elements(a):
+    F = field(3, 2)
+    assert [F.require_element(x) for x in F.elements()] == list(F.elements())
+    with pytest.raises(ValueError, match=f"t {a} is not a field element"):
+        F.require_element(a, "t")

@@ -151,3 +151,10 @@ def test_errors():
     F = field(3, 2)
     with pytest.raises(TIsSquare):
         behs_unital(F, 1)
+
+
+@pytest.mark.parametrize("t", [-1, 9, 99])
+def test_behs_refuses_non_elements(t):
+    # -1 used to wrap round to the last element and build a 28-point set
+    with pytest.raises(ValueError, match=f"t {t} is not a field element"):
+        behs_unital(field(3, 2), t)
