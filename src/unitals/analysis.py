@@ -17,6 +17,15 @@ Every member with lam != 0 is irreducible.  A point X other than P and Q
 lies on no member if it is on L_P or L_Q (M(X) != 0 there), and otherwise
 on the member lam = -M(X)^2 / (L_P(X)*L_Q(X)) alone, which is 0 when X is
 on the line PQ.
+
+The search counts with the set's own points.  A member C_lam, lam != 0, is
+irreducible and has n+1 points; each of them other than P and Q is off
+L_P, off L_Q and off M.  Every point R of S other than P, Q is off L_P and
+L_Q, since those are tangent lines of S.  So R lies on C_lam exactly when
+M(R) != 0 and lam = -M(R)^2 / (L_P(R)*L_Q(R)).  Take P < Q < R in index
+order: C_lam lies inside S exactly when n-1 points R > Q hit lam, and then
+P and Q are the two lowest points of C_lam.  Each conic inside S is thus
+found exactly once, from its two lowest points.
 """
 
 import enum
@@ -276,64 +285,59 @@ def _conics_contained_exhaustive(S: PointSet):
 
 
 def _conics_contained_pencils(S: PointSet, tangents):
-    """Bitangent-pencil search (the identity is in the module docstring).
-    A conic inside S touches S's tangent at each of its points, so it is a
-    member lam != 0 of the pencil M^2 + lam*L_P*L_Q of any two of its points
-    P, Q.  That member holds an off-set point X exactly when
-    lam = -M(X)^2 / (L_P(X)*L_Q(X)); for each P one gather over (later Q) x
-    (complement) marks the killed lam, and the unkilled ones are the conics.
+    """Bitangent-pencil search by counting (the argument is in the module
+    docstring).  For each point Q of S and each earlier point P, count the
+    later points R of S on each member lam of M^2 + lam*L_P*L_Q; a member
+    hit n-1 times is a conic inside S whose two lowest points are P and Q.
 
-    The gather works in discrete logarithms.  X x P = c_X * u_X with u_X one
-    of the n+1 normalised lines through P, so M(X) = c_X * (u_X . Q).  A
-    factor that is 0 kills no lam; its log is a sentinel past any sum of
+    The count works in int16 discrete logarithms, over tables built once:
+    R x P = c * u with u the normalised line PR, so M(R) = c * (u . Q) and
+    log lam = A[P,R] + B[Q, line[P,R]] + E[Q,R], with A[P,R] = log -c^2/L_P(R),
+    B[Q,l] = log (l . Q)^2 and E[Q,R] = log 1/L_Q(R).  Only B has a factor
+    that can be 0 (R on the line PQ); its log is a sentinel past any sum of
     three valid logs, and one lookup maps a sum to log lam or to a dump
-    column."""
+    column g.  Only the entries P < R of A and line are read."""
     plane = S.space
     F = plane.field
-    g = F.order - 1
-    lg = F.log_table.astype(np.int16)
-    coords = plane.coords_array().astype(np.intp)
-    pts = coords[S.member]
-    comp = coords[~S.member]
-    zero = 3 * g - 2
-    lookup = np.full(3 * zero + 1, g, dtype=np.int16)
-    lookup[:zero] = np.arange(zero) % g
-
-    def logs(vals, scale):
-        return np.where(vals == 0, zero, scale * lg[vals] % g)
-
-    # e[Q, X] = log 1/L_Q(X), for every point of S: |S| x |complement|
-    e = logs(_dot(F, tangents[:, None, :], comp[None, :, :]), -1)
-    log_minus_one = g // 2
-    rows = []
-    for i, P in enumerate(pts[:-1]):
-        xp = _cross(F, comp, P)
-        c = xp[np.arange(len(comp)), (xp != 0).argmax(axis=1)]
-        a = np.where(e[i] == zero, zero, (log_minus_one + 2 * lg[c] + e[i]) % g)
-        through_p, r = np.unique(plane.index_rows(xp), return_inverse=True)
-        # b[Q, j] = log (u_j . Q)^2 for the lines u_j through P
-        b = logs(_dot(F, pts[:, None, :], coords[through_p][None, :, :]), 2)
-        # nearly every Q has all lam killed within the first few n off-set
-        # points, so later blocks, each twice as wide, go to the rest only
-        qi = np.arange(i + 1, len(pts))
-        killed = np.zeros((len(qi), g + 1), dtype=bool)
-        lo, width = 0, 8 * g
-        while lo < len(comp) and len(qi):
-            cols = slice(lo, lo + width)
-            lo, width = lo + width, 2 * width
-            lam = lookup[a[cols] + b[qi][:, r[cols]] + e[qi, cols]]
-            killed[np.arange(len(qi))[:, None], lam] = True
-            alive = ~killed[:, :g].all(axis=1)
-            qi, killed = qi[alive], killed[alive]
-        live, k = np.nonzero(~killed[:, :g])
-        if len(live):
-            Q = pts[qi[live]]
-            rows.append(_pencil_member(F, _cross(F, P, Q), tangents[i], tangents[qi[live]], F.exp_table[k]))
-    if not rows:
+    n = F.order
+    g = n - 1
+    pts = plane.coords_array()[S.member]
+    N = len(pts)
+    if N <= n:  # a conic has n+1 points
         return []
+    zero = 3 * g - 2
+    lookup = np.full(zero + 2 * g - 1, g, dtype=np.int16)
+    lookup[:zero] = np.arange(zero) % g
+    lg = F.log_table
+    log_inv = (-lg % g).astype(np.int16)
+    log_sq = (2 * lg % g).astype(np.int16)
+    log_sq[0] = zero
+    xp = _cross(F, pts[None, :, :], pts[:, None, :]).reshape(N * N, 3)
+    line = plane.index_rows(xp).reshape(N, N)
+    c = xp[np.arange(N * N), (xp != 0).argmax(axis=1)].reshape(N, N)
+    # S meets each tangent line in its own point alone, so L_P(R) != 0 for R != P
+    lp = _dot(F, tangents[:, None, :], pts[None, :, :])
+    A = (g // 2 + log_sq[c] + log_inv[lp]) % g
+    E = log_inv[lp]
+    del xp, c, lp
+    # B is the largest table; blocks of rows bound the _dot temporaries
+    B = np.empty((N, plane.npoints), dtype=np.int16)
+    for lo in range(0, N, 256):
+        B[lo : lo + 256] = log_sq[_dot(F, pts[lo : lo + 256, None, :], plane.coords_array()[None, :, :])]
+    offsets = (g + 1) * np.arange(N)[:, None]
+    found_p, found_q, found_k = [], [], []
+    # a conic needs n-1 points after its second lowest
+    for j in range(1, N - n + 1):
+        lam = lookup[A[:j, j + 1 :] + B[j].take(line[:j, j + 1 :]) + E[j, j + 1 :]]
+        counts = np.bincount((lam + offsets[:j]).ravel(), minlength=j * (g + 1))
+        p, k = np.nonzero(counts.reshape(j, g + 1)[:, :g] == n - 1)
+        found_p.append(p)
+        found_q.append(np.full(len(p), j))
+        found_k.append(k)
+    p, q, k = (np.concatenate(x) for x in (found_p, found_q, found_k))
+    rows = _pencil_member(F, _cross(F, pts[p], pts[q]), tangents[p], tangents[q], F.exp_table[k])
     space5 = projective_space(F, 5)
-    found = np.unique(space5.index_rows(np.concatenate(rows)))
-    return [Conic(F, space5.point(int(j))) for j in found]
+    return [Conic(F, space5.point(int(i))) for i in np.sort(space5.index_rows(rows))]
 
 
 def _pencil_member(F: GF, m, lp, lq, lam):

@@ -9,13 +9,15 @@ subcommand accepts --workers and ignores it: every check runs in one
 process.
 
 Exit status: 0 when every checked claim is verified, 1 when a claim is
-violated, 2 on usage errors (including claims refused at the given order).
+violated, 2 on usage errors (including claims refused at the given order),
+3 on an internal error, whose traceback goes to stderr.
 """
 
 import argparse
 import json
 import random
 import sys
+import traceback
 
 import numpy as np
 
@@ -598,6 +600,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # neither a verdict nor a usage error: a fault in the program
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

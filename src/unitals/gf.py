@@ -136,7 +136,10 @@ class GF:
         if modulus is None:
             modulus = default_modulus(p, h)
         else:
-            modulus = tuple(c % p for c in modulus)
+            modulus = tuple(modulus)
+            bad = [c for c in modulus if not 0 <= c < p]
+            if bad:
+                raise ValueError(f"modulus coefficient {bad[0]} is not in 0..{p - 1}")
             if len(modulus) != h + 1 or modulus[h] != 1:
                 raise DegreeMismatch(f"modulus must be monic of degree {h}")
             if not is_irreducible(p, modulus):

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from unitals.analysis import (
@@ -22,9 +23,9 @@ from unitals.analysis import (
     _unique_tangents,
 )
 from unitals.conic import Conic, PencilKind, SingularConic, _monomials, canonical_pencil
-from unitals.geom import projective_plane, projective_space
+from unitals.geom import PointSet, projective_plane, projective_space
 from unitals.gf import field, nullspace
-from unitals.unital import NotAUnital, behs_unital, hermitian_unital
+from unitals.unital import NotAUnital, behs_unital, hermitian_unital, unital_q
 
 
 def test_classify_pair_canonical_cases():
@@ -241,15 +242,33 @@ def test_pencil_search_finds_single_random_conic(p, h, count):
         found += 1
 
 
-def test_pencil_search_q7():
-    F = field(7, 2)
+@pytest.mark.parametrize("F", [field(7, 2), field(3, 4)], ids=["q7", "q9"])
+def test_pencil_search_finds_construction_conics(F):
     U, conics = behs_unital(F)
     got = conics_contained(U, method="pencil")
     assert sorted(C.coeffs for C in got) == sorted(C.coeffs for C in conics)
-    assert len(got) == 7
+    assert len(got) == len(conics) == unital_q(F)
     space5 = projective_space(F, 5)
     assert [space5.index(C.coeffs) for C in got] == sorted(space5.index(C.coeffs) for C in got)
     assert conics_contained(hermitian_unital(F), method="pencil") == []
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pencil_search_commutes_with_collineations(p):
+    # the conics inside g.S are the images under g of the conics inside S
+    F = field(p, 2)
+    plane = projective_plane(F)
+    space5 = projective_space(F, 5)
+    rng = random.Random(p)
+    U, _ = behs_unital(F)
+    for S, count in ((U, p), (hermitian_unital(F), 0)):
+        inside = conics_contained(S, method="pencil")
+        assert len(inside) == count
+        for _ in range(2):
+            M = random_invertible(F, rng)
+            images = sorted((C.transform(M) for C in inside), key=lambda C: space5.index(C.coeffs))
+            assert conics_contained(_transform_points(plane, M, S), method="pencil") == images
+    assert conics_contained(PointSet(plane, np.zeros(plane.npoints, dtype=bool)), method="pencil") == []
 
 
 def test_verify_afkl_guard():

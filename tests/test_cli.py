@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from unitals import cli
 from unitals.cli import main
 
 
@@ -165,6 +166,9 @@ def test_usage_errors(capsys):
         "field --q 12",
         "cone-residual --q 3 --case 1 --k 2",
         "cone-residual --p 2 --h 2 --case 1",
+        "field --p 3 --h 2 --modulus 4,0,1",
+        "field --p 3 --h 2 --modulus=-2,0,1",
+        "field --p 3 --h 2 --modulus 5,0,1",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -173,12 +177,28 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    if argv.startswith("field"):
+    if argv == "field --q 12":
         assert "12 is not a prime power" in captured.err
+    if "modulus" in argv:
+        # the coefficient as typed, not its residue mod p
+        bad = argv.split("modulus")[1].strip(" =").split(",")[0]
+        assert f"modulus coefficient {bad} is not in 0..2" in captured.err
     if argv.endswith("--k 2"):
         assert "admissible: 3, 6" in captured.err
     if "--p 2" in argv:
         assert "odd characteristic" in captured.err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "cmd_field", broken)
+    assert main(["field", "--q", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("RuntimeError: broken on purpose\n")
 
 
 def test_points_outside_the_plane_are_a_usage_error(tmp_path, capsys):

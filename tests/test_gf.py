@@ -37,6 +37,11 @@ def test_construction_errors():
         GF(3, 2, (1, 1))
     with pytest.raises(DegreeMismatch):
         GF(3, 2, (1, 0, 0, 1))
+    # each is congruent mod 3 to the irreducible (1,0,1) or (2,0,1), and none
+    # may be read as it
+    for modulus, bad in (((4, 0, 1), 4), ((-2, 0, 1), -2), ((5, 0, 1), 5), ((1, 0, 4), 4)):
+        with pytest.raises(ValueError, match=f"modulus coefficient {bad} is not in 0..2"):
+            GF(3, 2, modulus)
 
 
 def test_irreducibility_oracle():
