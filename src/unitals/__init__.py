@@ -23,7 +23,6 @@ from .unital import UnitalReport, behs_unital, hermitian_unital, is_unital, tang
 from .veronese import (
     cone_contains,
     cone_residual_intersection,
-    is_on_veronese,
     line_meets_veronese,
     veronese_point,
 )

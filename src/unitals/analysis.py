@@ -40,7 +40,6 @@ from .conic import (
     Conic,
     EvenCharacteristicUnsupported,
     PencilKind,
-    PointClass,
     SingularConic,
     _monomials,
     canonical_pencil,
@@ -92,11 +91,7 @@ def pencil_members(C: Conic, D: Conic):
 
 def no_external_points(C: Conic, pts_c: PointSet, pts_d: PointSet) -> bool:
     """Whether every point of D minus C avoids the external points of C."""
-    plane = pts_c.space
-    for pi in (pts_d - pts_c).indices():
-        if C.classify_point(plane.point(pi)) == PointClass.EXTERNAL:
-            return False
-    return True
+    return not (C.classify_array()[pts_d.member & ~pts_c.member] == 1).any()
 
 
 def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: PointSet | None = None) -> PencilReport:
@@ -312,14 +307,18 @@ def _conics_contained_pencils(S: PointSet, tangents):
     log_inv = (-lg % g).astype(np.int16)
     log_sq = (2 * lg % g).astype(np.int16)
     log_sq[0] = zero
-    xp = _cross(F, pts[None, :, :], pts[:, None, :]).reshape(N * N, 3)
-    line = plane.index_rows(xp).reshape(N, N)
-    c = xp[np.arange(N * N), (xp != 0).argmax(axis=1)].reshape(N, N)
+    # R x P for P < R only: it is 0 on the diagonal, which spans no line
+    pi, ri = np.triu_indices(N, 1)
+    xp = _cross(F, pts[ri], pts[pi])
+    line = np.zeros((N, N), dtype=np.int64)
+    line[pi, ri] = plane.index_rows(xp)
+    c = np.zeros((N, N), dtype=xp.dtype)
+    c[pi, ri] = xp[np.arange(len(xp)), (xp != 0).argmax(axis=1)]
     # S meets each tangent line in its own point alone, so L_P(R) != 0 for R != P
     lp = _dot(F, tangents[:, None, :], pts[None, :, :])
     A = (g // 2 + log_sq[c] + log_inv[lp]) % g
     E = log_inv[lp]
-    del xp, c, lp
+    del pi, ri, xp, c, lp
     # B is the largest table; blocks of rows bound the _dot temporaries
     B = np.empty((N, plane.npoints), dtype=np.int16)
     for lo in range(0, N, 256):

@@ -204,12 +204,13 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
     directly built cones, so it covers all of PG(5,n) ("sweep": "full")."""
     alpha = min(F.nonsquares())
     ks = analysis.admissible_ks(F, case, alpha) if k is None else [k]
+    pairs = [analysis.canonical_case_pair(F, case, kk, alpha) for kk in ks]
+    # the first conic of a case pair does not depend on k
+    residuals = veronese.cone_residual_intersection(pairs[0][0], [D for _, D in pairs]) if pairs else []
     entries = []
     ok = True
-    for kk in ks:
-        C, D = analysis.canonical_case_pair(F, case, kk, alpha)
+    for kk, res in zip(ks, residuals):
         closed = analysis.case_residual_formula(F, case, kk, alpha)
-        res = veronese.cone_residual_intersection(C, D)
         match = res == closed
         ok = ok and match
         entry = {"k": kk, "residual_size": len(res), "matches_closed_form": match}

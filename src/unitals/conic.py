@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import GF, QuadraticCharacter, nullspace
+from .gf import GF, QuadraticCharacter
 from .geom import PointSet, det3, inv3, line_counts, matmul3, matvec3, projective_plane, tangent_lines, transpose3
 
 
@@ -284,10 +284,3 @@ def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) 
         return Conic(F, (1, F.neg(alpha), F.neg(k), 0, 0, 0))
     return Conic(F, (1, 0, k, 0, 0, F.neg(1)))
 
-
-def conics_through(F: GF, pts) -> list:
-    """Basis (as raw coefficient tuples) of the conics through the given
-    points; a unique conic comes back as a single-element list."""
-    plane = projective_plane(F)
-    mon = _monomials(plane)
-    return nullspace(F, [mon[plane.index(plane.normalize(P))].tolist() for P in pts])

@@ -7,8 +7,9 @@ scheme through their dual vectors.  The incidence of PG(2,n) is one
 (npoints, n+1) int32 array, ``ProjectiveSpace.lines``, whose row li lists
 the points of line li in increasing order.  A point set is a boolean
 membership array (``PointSet``), and ``line_counts`` is the one place that
-counts the points of a set on each line.  PG(5,n) lines are never
-enumerated globally, only constructed from point pairs.
+counts the points of a set on each line.  PG(5,n) has no line objects: a
+line there is the n+1 points ``span`` gives for a point pair, indexed with
+``index_rows``.
 
 Everything here is immutable after construction; the line table and the
 membership arrays are read-only.
@@ -107,14 +108,17 @@ class ProjectiveSpace:
         return self._coords_array
 
     def index_rows(self, rows):
-        """Canonical indices (int64) of the points spanned by the nonzero rows
-        of an (m, dim+1) array of field elements: normalize and index, row by
-        row, in numpy."""
+        """Canonical indices (int64) of the points spanned by the rows of an
+        (m, dim+1) array of field elements: normalize and index, row by row,
+        in numpy.  A zero row spans no point and raises ValueError."""
         F = self.field
         m, d = F.order, self.dim
         rows = np.asarray(rows)
         lead = (rows != 0).argmax(axis=1)
-        scale = F.inv_table[rows[np.arange(len(rows)), lead]]
+        leading = rows[np.arange(len(rows)), lead]
+        if not leading.all():
+            raise ValueError(f"row {int(np.argmin(leading))} is zero and spans no projective point")
+        scale = F.inv_table[leading]
         weights = m ** np.arange(d, -1, -1, dtype=np.int64)
         # the leading coordinate scales to 1, which the block offset replaces
         idx = np.asarray(self._offsets, dtype=np.int64)[lead] - weights[lead]
@@ -159,34 +163,24 @@ class ProjectiveSpace:
         return self.index(self.normalize(dual))
 
     def line_through(self, P, Q):
-        """The unique line through two distinct points.
-
-        For d=2 returns the normalised dual vector; for d=5 the pair of the
-        two smallest point indices on the line.
-        """
+        """The normalised dual vector of the unique line through two distinct
+        points of PG(2,n)."""
+        if self.dim != 2:
+            raise UnsupportedDimension("lines are only built in PG(2,n)")
         P, Q = tuple(P), tuple(Q)
         if self.normalize(P) == self.normalize(Q):
             raise CoincidentPoints(f"{P} and {Q} coincide")
         F = self.field
-        if self.dim == 2:
-            u = F.sub(F.mul(P[1], Q[2]), F.mul(P[2], Q[1]))
-            v = F.sub(F.mul(P[2], Q[0]), F.mul(P[0], Q[2]))
-            w = F.sub(F.mul(P[0], Q[1]), F.mul(P[1], Q[0]))
-            return self.normalize((u, v, w))
-        idxs = sorted(self.index(self.normalize(c)) for c in span(F, P, Q))
-        return (idxs[0], idxs[1])
+        u = F.sub(F.mul(P[1], Q[2]), F.mul(P[2], Q[1]))
+        v = F.sub(F.mul(P[2], Q[0]), F.mul(P[0], Q[2]))
+        w = F.sub(F.mul(P[0], Q[1]), F.mul(P[1], Q[0]))
+        return self.normalize((u, v, w))
 
     def points_on_line(self, line):
-        """Points of a line in canonical index order, as coordinate tuples.
-
-        d=2 accepts a dual vector or a line index; d=5 a pair of point indices.
-        """
-        if self.dim == 2:
-            li = line if isinstance(line, int) else self.line_index(line)
-            return [self.point(i) for i in self.lines[li].tolist()]
-        P, Q = (self.point(i) for i in line)
-        idxs = sorted(self.index(self.normalize(c)) for c in span(self.field, P, Q))
-        return [self.point(i) for i in idxs]
+        """Points of a line of PG(2,n), given as a dual vector or a line
+        index, in canonical index order, as coordinate tuples."""
+        li = line if isinstance(line, int) else self.line_index(line)
+        return [self.point(i) for i in self.lines[li].tolist()]
 
 
 def span(F: GF, P, Q):

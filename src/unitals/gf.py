@@ -280,9 +280,6 @@ class GF:
             return 0
         return self._exp[self._log[a] * k % (self.order - 1)]
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     # -- squares and characters ----------------------------------------------
 
     def quadratic_character(self, a: int) -> QuadraticCharacter:
@@ -296,19 +293,6 @@ class GF:
 
     def is_square(self, a: int) -> bool:
         return a == 0 or self.p == 2 or self._log[a] % 2 == 0
-
-    def sqrt(self, a: int):
-        """Some square root of a, or None.  Of the two roots in odd
-        characteristic the one with the smaller index is returned."""
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return self._exp[self._log[a] * (self.order // 2) % (self.order - 1)]
-        la = self._log[a]
-        if la % 2:
-            return None
-        r = self._exp[la // 2]
-        return min(r, self._neg[r])
 
     def nonsquares(self):
         """Non-squares in increasing index order (empty in even characteristic)."""
@@ -327,16 +311,6 @@ class GF:
         q = small_order
         elems = [0] + [self._exp[j * (q + 1)] for j in range(q - 1)]
         return tuple(sorted(elems))
-
-    def frobenius_norm(self, a: int, small_order: int | None = None) -> int:
-        """a^(q+1), the norm onto the index-2 subfield."""
-        if small_order is None:
-            small_order = _isqrt_exact(self.order)
-            if small_order is None:
-                raise NotASubfieldOrder(f"{self.order} is not a square")
-        elif small_order * small_order != self.order:
-            raise NotASubfieldOrder(f"{small_order}^2 != {self.order}")
-        return self.pow(a, small_order + 1)
 
     def require_element(self, a: int, what: str = "element") -> int:
         """a, when it is a field element (an index 0..order-1); ValueError

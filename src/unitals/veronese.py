@@ -7,9 +7,10 @@ every conic C of rank > 1 spans the cone Gamma(C) projecting V from P(C).
 A point Q other than P(C) lies on Gamma(C) exactly when the line P(C)Q meets
 V away from P(C), so the cone is built directly: P(C), every point of V, and
 every point P(C) + lambda*v for v on V, about n^3 rows normalised in numpy.
+The residuals of one conic C against several partners build Gamma(C) once.
 The exhaustive PG(5,n) sweep, which line-scans every point for a rank-1
-symmetric matrix, and a plain per-point scan stay as the oracles the direct
-construction is tested against.
+symmetric matrix, and the plain per-point scans (``line_meets_veronese``,
+``cone_contains``) stay as the oracles the numpy paths are tested against.
 """
 
 from functools import lru_cache
@@ -40,13 +41,12 @@ def veronese_point(F: GF, a: int, b: int, c: int):
 
 @lru_cache(maxsize=None)
 def veronese_indices(F: GF):
-    """Sorted PG(5,n) indices of the Veronese surface (one per plane point)."""
+    """Sorted, read-only int64 array of the PG(5,n) indices of the Veronese
+    surface (one per plane point)."""
     rows = quadratic_rows(F, point_array(F.order, 2))
-    return tuple(sorted(int(i) for i in projective_space(F, 5).index_rows(rows)))
-
-
-def is_on_veronese(F: GF, q) -> bool:
-    return symmetric_rank_leq1(F, q)
+    idx = np.sort(projective_space(F, 5).index_rows(rows))
+    idx.flags.writeable = False
+    return idx
 
 
 def line_meets_veronese(F: GF, P, Q):
@@ -128,8 +128,9 @@ def cone_point_indices(C: Conic):
 @lru_cache(maxsize=4)
 def swept_cone_indices(C: Conic):
     """Oracle for ``cone_point_indices``: every point of PG(5,n) is
-    line-scanned against the cone.  Read-only and cached, since the case
-    sweeps reuse one apex for many partners."""
+    line-scanned against the cone.  Read-only and cached, since the tests
+    sweep each case's apex for the residual scan and again against
+    ``cone_point_indices``."""
     F = C.field
     space = projective_space(F, 5)
     idx = np.flatnonzero(_cone_hits_block(F, C.coeffs, space.coords_array()))
@@ -138,9 +139,10 @@ def swept_cone_indices(C: Conic):
     return idx
 
 
-def cone_residual_intersection(C: Conic, D: Conic, method: str = "direct"):
-    """All points of (Gamma(C) & Gamma(D)) minus the line P(C)P(D) minus V,
-    in canonical index order, as coordinate tuples.
+def cone_residual_intersection(C: Conic, partners, method: str = "direct"):
+    """For each conic D of ``partners``, all points of (Gamma(C) & Gamma(D))
+    minus the line P(C)P(D) minus V, in canonical index order, as coordinate
+    tuples: one list per partner.  The work on C is done once.
 
     method "direct" intersects the two directly built cones and is exact at
     every order; "scan" sweeps the whole of PG(5,n) for the cone of C and
@@ -148,32 +150,41 @@ def cone_residual_intersection(C: Conic, D: Conic, method: str = "direct"):
     "scalar" is the plain per-point reference implementation for small n.
     """
     F = C.field
-    if F != D.field:
-        raise ValueError("conics live over different fields")
-    if C == D:
-        raise ValueError("cones of a single conic")
-    if F.p != 2 and (C.rank() != 3 or D.rank() != 3):
+    partners = list(partners)
+    for D in partners:
+        if F != D.field:
+            raise ValueError("conics live over different fields")
+        if C == D:
+            raise ValueError("cones of a single conic")
+    if F.p != 2 and any(E.rank() != 3 for E in [C, *partners]):
         raise RankOne("residual intersection needs irreducible conics")
     space = projective_space(F, 5)
-    apex_d = space.index(D.coeffs)
-    line_idx = {space.index(P) for P in space.points_on_line(space.line_through(C.coeffs, D.coeffs))}
-    excluded = line_idx | set(veronese_indices(F))
 
     if method == "direct":
-        common = np.intersect1d(cone_point_indices(C), cone_point_indices(D), assume_unique=True)
-        found = np.setdiff1d(common, sorted(excluded), assume_unique=True)
+        cone_c = cone_point_indices(C)
+
+        def on_both(D):
+            return np.intersect1d(cone_c, cone_point_indices(D), assume_unique=True)
+
     elif method == "scan":
         cand = swept_cone_indices(C)
-        in_d = _cone_hits_block(F, D.coeffs, space.coords_array()[cand])
-        in_d |= cand == apex_d
-        found = sorted(set(int(i) for i in cand[in_d]) - excluded)
+        cand_coords = space.coords_array()[cand]
+
+        def on_both(D):
+            return cand[_cone_hits_block(F, D.coeffs, cand_coords) | (cand == space.index(D.coeffs))]
+
     elif method == "scalar":
-        found = []
-        for i in range(space.npoints):
-            if i not in excluded:
-                P = space.point(i)
-                if cone_contains(C, P) and cone_contains(D, P):
-                    found.append(i)
+        cand = [i for i, P in enumerate(space.points()) if cone_contains(C, P)]
+
+        def on_both(D):
+            return [i for i in cand if cone_contains(D, space.point(i))]
+
     else:
         raise ValueError(f"unknown method {method!r}")
-    return [space.point(int(i)) for i in found]
+    out = []
+    for D in partners:
+        apex_line = space.index_rows(np.array(span(F, C.coeffs, D.coeffs)))
+        found = np.setdiff1d(on_both(D), apex_line, assume_unique=True)
+        found = np.setdiff1d(found, veronese_indices(F), assume_unique=True)
+        out.append([space.point(int(i)) for i in found])
+    return out

@@ -48,6 +48,33 @@ def test_classify_pair_canonical_cases():
                 assert no_external_points(D, D.points(), C.points())
 
 
+def test_no_external_points_matches_classify_point():
+    # the one-gather hypothesis test against the per-point classifier
+    from unitals.conic import PointClass
+
+    for spec in ((3, 2), (5, 2)):
+        F = field(*spec)
+        plane = projective_plane(F)
+        rng = random.Random(F.order)
+        conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
+        while len(conics) < F.order + 8:
+            coeffs = tuple(rng.randrange(F.order) for _ in range(6))
+            if any(coeffs) and Conic(F, coeffs).rank() == 3:
+                conics.append(Conic(F, coeffs))
+        seen = set()
+        for C in conics:
+            for D in conics:
+                if C == D:
+                    continue
+                want = all(
+                    C.classify_point(plane.point(pi)) != PointClass.EXTERNAL
+                    for pi in (D.points() - C.points()).indices()
+                )
+                assert no_external_points(C, C.points(), D.points()) == want
+                seen.add(want)
+        assert seen == {True, False}
+
+
 def test_classify_pair_case_details():
     F = field(3, 2)
     k = admissible_ks(F, 1)[0]
@@ -385,9 +412,7 @@ def test_case1_nonsquare_parameter_conic_hits_external_point():
                 (omk, F.mul(omk, F.mul(b, b)), F.mul(F.add(k, k), b), F.neg(F.mul(F.add(k, 1), b)), 0, 0),
             )
             y2 = F.div(F.add(k, k), F.mul(F.sub(k, 1), b))
-            y = F.sqrt(y2)
-            assert y is not None
-            P = (0, y, 1)
+            P = (0, next(y for y in F.elements() if F.mul(y, y) == y2), 1)
             assert E.contains(P)
             assert C.classify_point(P) == PointClass.EXTERNAL
             checked += 1

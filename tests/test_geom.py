@@ -17,6 +17,7 @@ from unitals.geom import (
     matmul3,
     projective_plane,
     projective_space,
+    span,
     tangent_lines,
 )
 
@@ -65,6 +66,11 @@ def test_index_rows_matches_normalize_and_index(p, h, d):
     rows = [r for r in rows if any(r)]
     got = space.index_rows(np.array(rows, dtype=np.uint8))
     assert got.tolist() == [space.index(space.normalize(r)) for r in rows]
+    # a zero row spans no point: refused, not wrapped round to a real index
+    zero = (0,) * (d + 1)
+    for bad in ([zero], rows[:3] + [zero] + rows[3:6]):
+        with pytest.raises(ValueError):
+            space.index_rows(np.array(bad, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2)])
@@ -106,18 +112,19 @@ def test_line_through_examples():
     assert len(pg3.points_on_line(L)) == 4
     with pytest.raises(CoincidentPoints):
         pg3.line_through((1, 2, 0), (1, 2, 0))
+    with pytest.raises(UnsupportedDimension):
+        projective_space(field(3), 5).line_through((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
 
 
 def test_pg5_lines():
-    space = projective_space(field(3, 2), 5)
+    # a PG(5,n) line is the n+1 points span gives, indexed by index_rows
+    F = field(3, 2)
+    space = projective_space(F, 5)
     P, Q = space.point(3), space.point(40000)
-    pair = space.line_through(P, Q)
-    pts = space.points_on_line(pair)
-    assert len(pts) == 10 and len(set(pts)) == 10
-    idxs = [space.index(R) for R in pts]
-    assert idxs == sorted(idxs)
-    # the stored pair is the two smallest indices on the line
-    assert pair == (idxs[0], idxs[1])
+    idxs = space.index_rows(np.array(span(F, P, Q)))
+    assert len(set(idxs.tolist())) == 10
+    assert {3, 40000} <= set(idxs.tolist())
+    assert idxs.tolist() == [space.index(space.normalize(R)) for R in span(F, P, Q)]
 
 
 def test_points_on_line_canonical_order():

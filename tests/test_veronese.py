@@ -9,8 +9,8 @@ from unitals.analysis import (
     case1_exceptional_vpoints,
     case_residual_formula,
 )
-from unitals.conic import Conic, PencilKind, canonical_pencil
-from unitals.geom import projective_plane, projective_space
+from unitals.conic import Conic, PencilKind, canonical_pencil, symmetric_rank_leq1
+from unitals.geom import projective_plane, projective_space, span
 from unitals.gf import field
 from unitals.veronese import (
     RankOne,
@@ -18,7 +18,6 @@ from unitals.veronese import (
     cone_contains,
     cone_point_indices,
     cone_residual_intersection,
-    is_on_veronese,
     line_meets_veronese,
     swept_cone_indices,
     veronese_indices,
@@ -40,17 +39,20 @@ def test_image_count(p, h):
     n = F.order
     imgs = {veronese_point(F, *t) for t in projective_plane(F).points()}
     assert len(imgs) == n * n + n + 1
-    assert len(veronese_indices(F)) == n * n + n + 1
+    idx = veronese_indices(F)
+    assert len(set(idx.tolist())) == n * n + n + 1
+    assert idx.tolist() == sorted(idx.tolist()) and not idx.flags.writeable
     # the image depends only on the projective class
     assert veronese_point(F, 0, 0, 1) == veronese_point(F, 0, 0, 2 % n or 1)
 
 
 def test_is_on_veronese():
+    # V is the set of rank-1 points
     F = field(3, 2)
-    assert is_on_veronese(F, (0, 0, 1, 0, 0, 0))
-    assert not is_on_veronese(F, (1, 1, 1, 0, 0, 0))
+    assert symmetric_rank_leq1(F, (0, 0, 1, 0, 0, 0))
+    assert not symmetric_rank_leq1(F, (1, 1, 1, 0, 0, 0))
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-    assert not is_on_veronese(F, C.coeffs)
+    assert not symmetric_rank_leq1(F, C.coeffs)
 
 
 def test_conic_vpoint_roundtrip():
@@ -69,7 +71,7 @@ def test_rank1_conics_are_exactly_the_surface():
     F = field(3)
     space = projective_space(F, 5)
     rank1 = {i for i in range(space.npoints) if Conic(F, space.point(i)).rank() == 1}
-    assert rank1 == set(veronese_indices(F))
+    assert rank1 == set(veronese_indices(F).tolist())
 
 
 def test_singular_hypersurface_double_count():
@@ -111,10 +113,9 @@ def test_cone_covers_line_and_surface():
         if not ks:
             continue
         C, D = canonical_case_pair(F, case, ks[0])
-        pc, pd = space.normalize(C.coeffs), space.normalize(D.coeffs)
-        for P in space.points_on_line(space.line_through(pc, pd)):
+        for P in span(F, C.coeffs, D.coeffs):
             assert cone_contains(C, P) and cone_contains(D, P)
-        for i in list(veronese_indices(F))[::7]:
+        for i in veronese_indices(F)[::7].tolist():
             P = space.point(i)
             assert cone_contains(C, P) and cone_contains(D, P)
 
@@ -147,19 +148,24 @@ def test_scan_matches_scalar_reference(p, case, k):
     else:
         C = canonical_pencil(F, PencilKind.PARABOLIC, 0)
         D = canonical_pencil(F, PencilKind.PARABOLIC, k)
-    scalar = cone_residual_intersection(C, D, method="scalar")
-    assert cone_residual_intersection(C, D, method="scan") == scalar
-    assert cone_residual_intersection(C, D) == scalar
+    scalar = cone_residual_intersection(C, [D], method="scalar")
+    assert cone_residual_intersection(C, [D], method="scan") == scalar
+    assert cone_residual_intersection(C, [D]) == scalar
 
 
 def test_residual_formulas_n9():
     F = field(3, 2)
     for case in (1, 2, 3):
-        for k in admissible_ks(F, case):
-            C, D = canonical_case_pair(F, case, k)
-            res = cone_residual_intersection(C, D, method="scan")
+        ks = admissible_ks(F, case)
+        if not ks:
+            continue
+        pairs = [canonical_case_pair(F, case, k) for k in ks]
+        C, Ds = pairs[0][0], [D for _, D in pairs]
+        scan = cone_residual_intersection(C, Ds, method="scan")
+        assert cone_residual_intersection(C, Ds) == scan
+        assert scan == [cone_residual_intersection(C, [D])[0] for D in Ds]
+        for k, res in zip(ks, scan):
             assert res == case_residual_formula(F, case, k), (case, k)
-            assert cone_residual_intersection(C, D) == res
             if case == 1:
                 assert len(res) == F.order - 1
                 assert all(Conic(F, q).rank() == 3 for q in res)
@@ -188,7 +194,10 @@ def test_direct_cone_matches_sweep(p, h):
 def test_residual_rejects_bad_input():
     F = field(3, 2)
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
+    D = canonical_pencil(F, PencilKind.HYPERBOLIC, 2)
     with pytest.raises(ValueError):
-        cone_residual_intersection(C, C)
+        cone_residual_intersection(C, [D, C])
     with pytest.raises(RankOne):
-        cone_residual_intersection(C, Conic(F, (0, 0, 1, 0, 0, 0)))
+        cone_residual_intersection(C, [D, Conic(F, (0, 0, 1, 0, 0, 0))])
+    with pytest.raises(ValueError):
+        cone_residual_intersection(C, [D], method="nope")
