@@ -44,6 +44,7 @@ from .conic import (
     _monomials,
     canonical_pencil,
     eval_many,
+    rank1_rows,
 )
 from .geom import PointSet, det3, projective_plane, projective_space, span, tangent_lines
 from .gf import GF, QuadraticCharacter, _isqrt_exact, nullspace
@@ -84,21 +85,18 @@ class PencilReport:
         }
 
 
-def pencil_members(C: Conic, D: Conic):
-    """The n+1 members of the pencil spanned by two distinct conics."""
-    return [Conic(C.field, coeffs) for coeffs in span(C.field, C.coeffs, D.coeffs)]
-
-
-def no_external_points(C: Conic, pts_c: PointSet, pts_d: PointSet) -> bool:
-    """Whether every point of D minus C avoids the external points of C."""
-    return not (C.classify_array()[pts_d.member & ~pts_c.member] == 1).any()
+def no_external_points(C: Conic, pts_d: PointSet) -> bool:
+    """Whether every point of D minus C avoids the external points of C.
+    An external point of C is off C, so this is D against them all."""
+    return not (C.classify_array()[pts_d.member] == 1).any()
 
 
 def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: PointSet | None = None) -> PencilReport:
     """Intersection pattern, pencil type and rank-1 member of a pair of
     distinct irreducible conics, plus whether D\\C avoids the external
     points of C."""
-    if C.field != D.field:
+    F = C.field
+    if F != D.field:
         raise ValueError("conics live over different fields")
     if C == D:
         raise CoincidentConics("the two conics coincide")
@@ -110,7 +108,10 @@ def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: Poin
     if pts_d is None:
         pts_d = D.points()
     common = [plane.point(i) for i in (pts_c & pts_d).indices()]
-    rank1 = next((E for E in pencil_members(C, D) if E.rank() == 1), None)
+    # the pencil's n+1 members, in span order; the first of rank 1 is reported
+    members = span(F, C.coeffs, D.coeffs)
+    hits = np.flatnonzero(rank1_rows(F, members))
+    rank1 = Conic(F, members[hits[0]]) if len(hits) else None
     if rank1 is None:
         ptype = PencilType.OTHER
     elif len(common) == 2:
@@ -121,7 +122,7 @@ def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: Poin
         ptype = PencilType.HYPEROSCULATING
     else:
         ptype = PencilType.OTHER
-    hyp = no_external_points(C, pts_c, pts_d)
+    hyp = no_external_points(C, pts_d)
     return PencilReport((C, D), common, ptype, rank1, hyp)
 
 
@@ -169,45 +170,31 @@ def canonical_case_pair(F: GF, case: int, k: int, alpha: int | None = None):
 def case_residual_formula(F: GF, case: int, k: int, alpha: int | None = None):
     """Closed-form list of the cone-intersection residual of a case pair,
     in canonical index order.  Case 3 has an empty residual."""
-    space = projective_space(F, 5)
-    pts = set()
+    mul, add = F.mul_table, F.add_table
+    b = np.arange(1, F.order)
+    b2 = mul[b, b]
+    rows = np.zeros((len(b), 6), dtype=mul.dtype)
     if case == 1:
         omk = F.sub(1, k)
-        for b in F.units():
-            pts.add(
-                space.normalize(
-                    (
-                        omk,
-                        F.mul(omk, F.mul(b, b)),
-                        F.mul(F.add(k, k), b),
-                        F.neg(F.mul(F.add(k, 1), b)),
-                        0,
-                        0,
-                    )
-                )
-            )
+        rows[:, 0] = omk
+        rows[:, 1] = mul[omk, b2]
+        rows[:, 2] = mul[F.add(k, k), b]
+        rows[:, 3] = mul[F.neg(F.add(k, 1)), b]
     elif case == 2:
         if alpha is None:
             alpha = min(F.nonsquares())
-        for b in F.units():
-            b2 = F.mul(b, b)
-            pts.add(
-                space.normalize(
-                    (
-                        F.sub(alpha, F.mul(k, b2)),
-                        F.mul(alpha, F.sub(b2, F.mul(alpha, k))),
-                        F.mul(k, F.sub(b2, alpha)),
-                        F.mul(F.mul(alpha, b), F.sub(1, k)),
-                        0,
-                        0,
-                    )
-                )
-            )
-        pts.add(space.normalize((k, F.neg(alpha), F.neg(k), 0, 0, 0)))
-        pts.add(space.normalize((1, F.neg(F.mul(alpha, k)), F.neg(k), 0, 0, 0)))
-    elif case != 3:
+        rows[:, 0] = add[alpha, mul[F.neg(k), b2]]
+        rows[:, 1] = mul[alpha, add[b2, F.neg(F.mul(alpha, k))]]
+        rows[:, 2] = mul[k, add[b2, F.neg(alpha)]]
+        rows[:, 3] = mul[F.mul(alpha, F.sub(1, k)), b]
+        extra = [(k, F.neg(alpha), F.neg(k), 0, 0, 0), (1, F.neg(F.mul(alpha, k)), F.neg(k), 0, 0, 0)]
+        rows = np.concatenate([rows, np.array(extra, dtype=rows.dtype)])
+    elif case == 3:
+        return []
+    else:
         raise ValueError(f"unknown case {case}")
-    return [space.point(i) for i in sorted(space.index(P) for P in pts)]
+    space = projective_space(F, 5)
+    return [space.point(int(i)) for i in np.unique(space.index_rows(rows))]
 
 
 def case1_exceptional_vpoints(F: GF, k: int, beta: int):
@@ -505,6 +492,16 @@ def random_invertible(F: GF, rng: random.Random):
             return M
 
 
+def _hypothesis_matrix(conics):
+    """Boolean (k, k) array whose entry [i, j] is
+    ``no_external_points(conics[i], conics[j].points())``: one exact integer
+    product of the external-point masks and the point masks counts, for
+    each pair, the points of conic j external to conic i."""
+    ext = np.array([C.classify_array() == 1 for C in conics], dtype=np.int32)
+    on = np.array([C.points().member for C in conics], dtype=np.int32)
+    return ext @ on.T == 0
+
+
 def _transform_points(plane, M, pts: PointSet) -> PointSet:
     F = plane.field
     if det3(F, M) == 0:
@@ -541,24 +538,16 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k, alpha) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
-    pts = {C: C.points() for C in conics}
-    violations = []
-    checked = 0
-    hyp_pairs = 0
-    sym_pairs = 0
-    for C in conics:
-        for D in conics:
-            if C == D:
-                continue
-            checked += 1
-            if not no_external_points(C, pts[C], pts[D]):
-                continue
-            hyp_pairs += 1
-            rep = classify_pair(C, D, pts[C], pts[D])
-            if rep.ptype == PencilType.OTHER:
-                violations.append(rep)
-            if no_external_points(D, pts[D], pts[C]):
-                sym_pairs += 1
+    hyp = _hypothesis_matrix(conics)
+    # the families share no conic, so the off-diagonal entries are the
+    # ordered pairs of distinct conics
+    np.fill_diagonal(hyp, False)
+    checked = len(conics) * (len(conics) - 1)
+    hyp_pairs = int(np.count_nonzero(hyp))
+    sym_pairs = int(np.count_nonzero(hyp & hyp.T))
+    # row-major order: C outer, D inner
+    reps = (classify_pair(conics[i], conics[j]) for i, j in zip(*np.nonzero(hyp)))
+    violations = [rep for rep in reps if rep.ptype == PencilType.OTHER]
     rng = random.Random(seed)
     cases = [(c, admissible_ks(F, c, alpha)) for c in (1, 2, 3)]
     cases = [(c, ks) for c, ks in cases if ks]
@@ -578,7 +567,7 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
         if (
             not rep.hypothesis_holds
             or rep.ptype == PencilType.OTHER
-            or not no_external_points(D1, pd, pc)
+            or not no_external_points(D1, pc)
         ):
             violations.append(rep)
     return AfklReport(n, checked, hyp_pairs, sym_pairs, sampled, violations)

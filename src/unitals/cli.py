@@ -215,9 +215,9 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
         ok = ok and match
         entry = {"k": kk, "residual_size": len(res), "matches_closed_form": match}
         if full:
+            conics = [Conic(F, P) for P in res]
             entry["residual"] = [
-                {"point": list(P), "conic": list(Conic(F, P).coeffs), "rank": Conic(F, P).rank()}
-                for P in res
+                {"point": list(P), "conic": list(E.coeffs), "rank": E.rank()} for P, E in zip(res, conics)
             ]
         entries.append(entry)
     out = {

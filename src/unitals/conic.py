@@ -75,6 +75,28 @@ def symmetric_rank_leq1(F: GF, q) -> bool:
     return all(mul(q[i], q[j]) == mul(q[k], q[l]) for i, j, k, l in _MINOR_PAIRS)
 
 
+def rank1_rows(F: GF, rows):
+    """``symmetric_rank_leq1`` over the last axis of a (..., 6) array of
+    field elements: a boolean array of shape rows.shape[:-1].  Each minor
+    after the first, and the nonzero test, run only on the rows still
+    alive (a zero row makes every minor vanish)."""
+    m = F.order
+    mulf = F.mul_table.ravel()
+    wide = np.uint16 if m <= 256 else np.uint32
+    flat = rows.reshape(-1, 6)
+
+    def minor_vanishes(s, i, j, k, l):
+        return mulf[s[:, i].astype(wide) * m + s[:, j]] == mulf[s[:, k].astype(wide) * m + s[:, l]]
+
+    alive = np.flatnonzero(minor_vanishes(flat, *_MINOR_PAIRS[0]))
+    for pair in _MINOR_PAIRS[1:]:
+        alive = alive[minor_vanishes(flat[alive], *pair)]
+    alive = alive[flat[alive].any(axis=1)]
+    out = np.zeros(len(flat), dtype=bool)
+    out[alive] = True
+    return out.reshape(rows.shape[:-1])
+
+
 def quadratic_rows(F: GF, pts):
     """(m, 6) array of the images (x^2, y^2, z^2, xy, xz, yz) of the rows
     (x, y, z) of ``pts``: the Veronese map, not normalised."""
@@ -114,11 +136,9 @@ class Conic:
     __slots__ = ("field", "coeffs", "_points", "_rank", "_det")
 
     def __init__(self, F: GF, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = tuple(F.require_element(c, "coefficient") for c in coeffs)
         if len(coeffs) != 6:
             raise ValueError("a conic needs 6 coefficients")
-        if min(coeffs) < 0 or max(coeffs) >= F.order:
-            raise ValueError(f"coefficients {coeffs} are not all field elements (0..{F.order - 1})")
         lead = next((c for c in coeffs if c), None)
         if lead is None:
             raise ValueError("all-zero coefficient tuple")

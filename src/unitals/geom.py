@@ -74,7 +74,8 @@ class ProjectiveSpace:
         i = next(t for t, c in enumerate(coords) if c)
         idx = self._offsets[i]
         for t in range(i + 1, d + 1):
-            idx += coords[t] * m ** (d - t)
+            # int(): a numpy row's fixed-width coordinates would overflow
+            idx += int(coords[t]) * m ** (d - t)
         return idx
 
     def point(self, idx: int):
@@ -132,7 +133,6 @@ class ProjectiveSpace:
         """(npoints, n+1) int32 array: row li holds the sorted indices of the
         points of the line whose dual vector is the point with index li."""
         F = self.field
-        m = F.order
         duals = self.coords_array()
         lead = (duals != 0).argmax(axis=1)
         # the leading entry of a dual L is 1, at position i; the vectors
@@ -148,12 +148,7 @@ class ProjectiveSpace:
 
         b1 = null_vector((lead == 0).astype(np.int64))
         b2 = null_vector(2 - (lead == 2))
-        # the line's points: b2, then b1 + lambda*b2 for every lambda
-        lam = np.arange(m)
-        pts = np.empty((len(duals), m + 1, 3), dtype=duals.dtype)
-        pts[:, 0] = b2
-        pts[:, 1:] = F.add_table[b1[:, None, :], F.mul_table[lam[None, :, None], b2[:, None, :]]]
-        idx = self.index_rows(pts.reshape(-1, 3)).reshape(len(duals), m + 1)
+        idx = self.index_rows(span(F, b1, b2).reshape(-1, 3)).reshape(len(duals), -1)
         idx.sort(axis=1)
         out = idx.astype(np.int32)
         out.flags.writeable = False
@@ -184,9 +179,22 @@ class ProjectiveSpace:
 
 
 def span(F: GF, P, Q):
-    """Representatives of the n+1 points of the line PQ: Q, then P + lambda*Q
-    for every lambda in F (not normalised)."""
-    return [Q] + [tuple(F.add(x, F.mul(lam, y)) for x, y in zip(P, Q)) for lam in F.elements()]
+    """Representatives of the n+1 points of the line PQ, not normalised: a
+    (..., n+1, d+1) array in the field's table dtype holding Q, then
+    P + lambda*Q for every lambda in F.  P and Q are (..., d+1) arrays of
+    field elements and broadcast against each other, so a batch of point
+    pairs gives a batch of lines."""
+    m = F.order
+    dt = F.add_table.dtype
+    P, Q = np.asarray(P, dtype=dt), np.asarray(Q, dtype=dt)
+    shape = np.broadcast_shapes(P.shape, Q.shape)
+    out = np.empty(shape[:-1] + (m + 1, shape[-1]), dtype=dt)
+    out[..., 0, :] = Q
+    lam_q = F.mul_table[np.arange(m)[:, None], Q[..., None, :]]
+    # a flat-table gather on narrow indices (< m^2) is ~3x faster than add_table[P, lam_q]
+    wide = np.uint16 if m <= 256 else np.uint32
+    out[..., 1:, :] = F.add_table.ravel()[(P.astype(wide) * m)[..., None, :] + lam_q]
+    return out
 
 
 def point_array(m: int, d: int):

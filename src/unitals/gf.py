@@ -313,11 +313,11 @@ class GF:
         return tuple(sorted(elems))
 
     def require_element(self, a: int, what: str = "element") -> int:
-        """a, when it is a field element (an index 0..order-1); ValueError
-        otherwise."""
-        if not 0 <= a < self.order:
+        """a as a Python int, when it is a field element: an integer (numpy
+        integers included, bool not) in 0..order-1; ValueError otherwise."""
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
             raise ValueError(f"{what} {a} is not a field element (0..{self.order - 1})")
-        return a
+        return int(a)
 
     def elements(self):
         return range(self.order)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conic import _MINOR_PAIRS, Conic, quadratic_rows, symmetric_rank_leq1
+from .conic import Conic, quadratic_rows, rank1_rows, symmetric_rank_leq1
 from .gf import GF
 from .geom import point_array, projective_space, span
 
@@ -53,7 +53,7 @@ def line_meets_veronese(F: GF, P, Q):
     """The points of the line PQ of PG(5,n) lying on V, canonical order."""
     space = projective_space(F, 5)
     found = {}
-    for R in span(F, P, Q):
+    for R in span(F, P, Q).tolist():
         Rn = space.normalize(R)
         if symmetric_rank_leq1(F, Rn):
             found[space.index(Rn)] = Rn
@@ -79,44 +79,25 @@ def cone_contains(C: Conic, Q) -> bool:
 
 def _cone_hits_block(F: GF, coeffs, coords):
     """Boolean array marking rows of ``coords`` lying on the cone of the
-    conic with the given coefficients (apex excluded)."""
-    m = F.order
-    add = F.add_table
-    mulf = F.mul_table.ravel()
-    wide = np.uint16 if m <= 256 else np.uint32
-    cols = [np.ascontiguousarray(coords[:, i]) for i in range(6)]
-    hits = np.zeros(len(coords), dtype=bool)
-
-    def prod(a, b):
-        return mulf[a.astype(wide) * m + b]
-
-    for lam in range(m):
-        s = []
-        for i in range(6):
-            t = F.mul(lam, coeffs[i])
-            s.append(add[t][cols[i]] if t else cols[i])
-        nz = s[0] | s[1]
-        for i in range(2, 6):
-            nz = nz | s[i]
-        hit = nz != 0
-        for i, j, k, l in _MINOR_PAIRS:
-            if not hit.any():
-                break
-            hit &= prod(s[i], s[j]) == prod(s[k], s[l])
-        hits |= hit
+    conic with the given coefficients (apex excluded): the line from each
+    row to the apex meets V away from the apex.  Rows go in chunks, to
+    bound the (chunk, n+1, 6) span."""
+    chunk = 1 << 16
+    hits = np.empty(len(coords), dtype=bool)
+    for lo in range(0, len(coords), chunk):
+        # span row 0 is the apex itself; rows 1.. are row + lambda*apex
+        lines = span(F, coords[lo : lo + chunk], coeffs)
+        hits[lo : lo + chunk] = rank1_rows(F, lines)[:, 1:].any(axis=1)
     return hits
 
 
 def cone_point_indices(C: Conic):
     """Sorted PG(5,n) indices of the full cone of C, built directly: the
-    apex, every Veronese point v and every point apex + lambda*v."""
+    lines from the apex to every Veronese point v, that is v and every
+    point apex + lambda*v (the apex itself at lambda = 0)."""
     F = C.field
-    add, mul = F.add_table, F.mul_table
-    apex = np.array(C.coeffs, dtype=add.dtype)
     V = quadratic_rows(F, point_array(F.order, 2))
-    lam = np.arange(F.order, dtype=add.dtype)
-    on_lines = add[apex, mul[lam[:, None, None], V]].reshape(-1, 6)
-    rows = np.concatenate([apex[None], V, on_lines])
+    rows = span(F, C.coeffs, V).reshape(-1, 6)
     # apex + lambda*v vanishes only for v on the apex itself (a rank-1 apex)
     rows = rows[rows.any(axis=1)]
     idx = np.sort(projective_space(F, 5).index_rows(rows))
@@ -183,7 +164,7 @@ def cone_residual_intersection(C: Conic, partners, method: str = "direct"):
         raise ValueError(f"unknown method {method!r}")
     out = []
     for D in partners:
-        apex_line = space.index_rows(np.array(span(F, C.coeffs, D.coeffs)))
+        apex_line = space.index_rows(span(F, C.coeffs, D.coeffs))
         found = np.setdiff1d(on_both(D), apex_line, assume_unique=True)
         found = np.setdiff1d(found, veronese_indices(F), assume_unique=True)
         out.append([space.point(int(i)) for i in found])

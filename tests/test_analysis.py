@@ -16,14 +16,14 @@ from unitals.analysis import (
     lemma1_search,
     lemma2_search,
     no_external_points,
-    pencil_members,
     random_invertible,
     verify_afkl,
+    _hypothesis_matrix,
     _transform_points,
     _unique_tangents,
 )
 from unitals.conic import Conic, PencilKind, SingularConic, _monomials, canonical_pencil
-from unitals.geom import PointSet, projective_plane, projective_space
+from unitals.geom import PointSet, projective_plane, projective_space, span
 from unitals.gf import field, nullspace
 from unitals.unital import NotAUnital, behs_unital, hermitian_unital, unital_q
 
@@ -45,7 +45,7 @@ def test_classify_pair_canonical_cases():
                 assert rep.rank1_member is not None and rep.rank1_member.rank() == 1
                 assert rep.hypothesis_holds
                 # admissible parameters make the hypothesis symmetric
-                assert no_external_points(D, D.points(), C.points())
+                assert no_external_points(D, C.points())
 
 
 def test_no_external_points_matches_classify_point():
@@ -70,7 +70,7 @@ def test_no_external_points_matches_classify_point():
                     C.classify_point(plane.point(pi)) != PointClass.EXTERNAL
                     for pi in (D.points() - C.points()).indices()
                 )
-                assert no_external_points(C, C.points(), D.points()) == want
+                assert no_external_points(C, D.points()) == want
                 seen.add(want)
         assert seen == {True, False}
 
@@ -91,8 +91,64 @@ def test_pencil_has_single_rank1_member():
     for case in (1, 2, 3):
         for k in admissible_ks(F, case):
             C, D = canonical_case_pair(F, case, k)
-            rank1 = [E for E in pencil_members(C, D) if E.rank() == 1]
+            rank1 = [E for E in _members(C, D) if E.rank() == 1]
             assert len(rank1) == 1
+
+
+def _members(C, D):
+    # the pencil's n+1 members as Conic objects, in span order
+    return [Conic(C.field, R) for R in span(C.field, C.coeffs, D.coeffs).tolist()]
+
+
+def _random_irreducible(F, rng):
+    while True:
+        coeffs = tuple(rng.randrange(F.order) for _ in range(6))
+        if any(coeffs) and Conic(F, coeffs).rank() == 3:
+            return Conic(F, coeffs)
+
+
+@pytest.mark.parametrize("spec, pairs", [((3, 2), 300), ((5, 2), 150)])
+def test_rank1_member_matches_per_member_rank(spec, pairs):
+    # the one rank1_rows call over the span against a Conic.rank() per member;
+    # the canonical pencil families give the pairs that have a rank-1 member
+    F = field(*spec)
+    rng = random.Random(F.order)
+    kinds = [PencilKind.HYPERBOLIC, PencilKind.ELLIPTIC, PencilKind.PARABOLIC]
+    seen = set()
+    for t in range(pairs):
+        if t % 2:
+            C, D = _random_irreducible(F, rng), _random_irreducible(F, rng)
+        else:
+            kind = kinds[rng.randrange(3)]
+            C, D = (canonical_pencil(F, kind, rng.randrange(1, F.order)) for _ in range(2))
+        if C == D:
+            continue
+        want = next((E for E in _members(C, D) if E.rank() == 1), None)
+        got = classify_pair(C, D).rank1_member
+        assert got == want
+        assert got is None or all(type(c) is int for c in got.coeffs)
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("spec", [(3, 2), (5, 2)])
+def test_hypothesis_matrix_matches_classify_point(spec):
+    from unitals.conic import PointClass
+
+    F = field(*spec)
+    plane = projective_plane(F)
+    alpha = min(F.nonsquares())
+    conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
+    conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k, alpha) for k in F.units()]
+    conics += [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
+    hyp = _hypothesis_matrix(conics)
+    for i, C in enumerate(conics):
+        external = {pi for pi in range(plane.npoints) if C.classify_point(plane.point(pi)) == PointClass.EXTERNAL}
+        for j, D in enumerate(conics):
+            if i != j:
+                want = all(pi not in external for pi in (D.points() - C.points()).indices())
+                assert hyp[i, j] == want, (C, D)
+    assert hyp.any() and not hyp.all()
 
 
 def test_classify_pair_errors():
@@ -312,6 +368,14 @@ def test_verify_afkl_n25():
     assert rep.sampled_pairs == 300
 
 
+@pytest.mark.parametrize("spec, counts", [((5, 2), (5256, 888, 588)), ((7, 2), (20880, 3504, 2328))])
+def test_verify_afkl_exhaustive_counts(spec, counts):
+    # exhaustive, hypothesis and symmetric pair counts over the canonical families
+    rep = verify_afkl(field(*spec))
+    assert (rep.exhaustive_pairs, rep.hypothesis_pairs, rep.symmetric_pairs) == counts
+    assert rep.ok and rep.sampled_pairs == 0
+
+
 def test_certify_behs_q3():
     F = field(3, 2)
     U, _ = behs_unital(F)
@@ -386,7 +450,7 @@ def test_pairs_inside_unital_satisfy_hypothesis_both_ways():
         rep = classify_pair(C, D)
         assert rep.ptype == PencilType.HYPEROSCULATING
         assert rep.hypothesis_holds
-        assert no_external_points(D, D.points(), C.points())
+        assert no_external_points(D, C.points())
         # the whole unital minus the conic is internal to it
         plane = projective_plane(F)
         for pi in (U - C.points()).indices():

@@ -258,3 +258,17 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
     assert main(["cone-residual", "--q", "5", "--case", str(case)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--q", "5", "--samples", "2000", "--seed", "7"], "76a5f052c3ba9ca99a1f19248da17dde899746f5a6da91aa68f41df0c0bea98d"),
+        (["--q", "7", "--samples", "300", "--seed", "3"], "d430b765acd9f8da4e2e073aa33f1fde2f34e263bfa268935ace686b9d67b88d"),
+    ],
+)
+def test_check_afkl_stdout_is_byte_identical(capsys, argv, digest):
+    # the AFKL report, sampled pairs included, is pinned byte for byte
+    assert main(["check", "--claim", "afkl", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -16,8 +17,10 @@ from unitals.conic import (
     _monomials,
     canonical_pencil,
     eval_many,
+    rank1_rows,
+    symmetric_rank_leq1,
 )
-from unitals.geom import apply_collineation, projective_plane
+from unitals.geom import apply_collineation, projective_plane, projective_space
 from unitals.gf import field, nullspace
 
 
@@ -290,8 +293,8 @@ def test_internal_membership_parity():
         if k == 1:
             continue
         D = canonical_pencil(F, PencilKind.HYPERBOLIC, k)
-        fwd = no_external_points(C, C.points(), D.points())
-        bwd = no_external_points(D, D.points(), C.points())
+        fwd = no_external_points(C, D.points())
+        bwd = no_external_points(D, C.points())
         assert fwd == (not F.is_square(F.sub(k, 1)))
         assert bwd == (not F.is_square(F.mul(k, F.sub(k, 1))))
         if fwd and bwd:
@@ -307,8 +310,8 @@ def test_symmetry_needs_both_directions():
     k = next(k for k in F.nonsquares() if not F.is_square(F.sub(k, 1)))
     C = hyperbola(F)
     D = canonical_pencil(F, PencilKind.HYPERBOLIC, k)
-    assert no_external_points(C, C.points(), D.points())
-    assert not no_external_points(D, D.points(), C.points())
+    assert no_external_points(C, D.points())
+    assert not no_external_points(D, C.points())
     # ground truth by tangent counting: C\D meets two tangents of D
     cnt = tangent_count_oracle(D)
     diffs = (C.points() - D.points()).indices()
@@ -318,10 +321,33 @@ def test_symmetry_needs_both_directions():
 @pytest.mark.parametrize("bad", [-1, 9, 99])
 def test_out_of_range_elements_are_refused(bad):
     F = field(3, 2)
-    with pytest.raises(ValueError, match="not all field elements"):
+    with pytest.raises(ValueError, match=f"coefficient {bad} is not a field element"):
         Conic(F, (1, 2, 3, 4, 5, bad))
     for kind in PencilKind:
         with pytest.raises(ValueError, match=f"k {bad} is not a field element"):
             canonical_pencil(F, kind, bad)
     with pytest.raises(ValueError, match=f"alpha {bad} is not a field element"):
         canonical_pencil(F, PencilKind.ELLIPTIC, 1, bad)
+
+
+def test_coefficients_are_python_ints():
+    F = field(3, 2)
+    # a lead coefficient of 1 keeps the coefficients as given, so each is
+    # converted on the way in
+    C = Conic(F, np.array([1, 0, 0, 0, 0, 0]))
+    assert json.dumps(C.to_json()) == "[1, 0, 0, 0, 0, 0]"
+    assert all(type(c) is int for c in Conic(F, np.array([2, 0, 3, 0, 0, 1], dtype=np.uint8)).coeffs)
+    for bad in [(True, 0, 0, 0, 0, 0), (1.5, 0, 0, 0, 0, 0), ("1", 0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match=f"coefficient {bad[0]} is not a field element"):
+            Conic(F, bad)
+
+
+def test_rank1_rows_matches_scalar_on_pg59():
+    F = field(3, 2)
+    pts = projective_space(F, 5).coords_array()
+    want = [symmetric_rank_leq1(F, q) for q in pts.tolist()]
+    assert rank1_rows(F, pts).tolist() == want
+    assert sum(want) == projective_plane(F).npoints
+    # any leading shape, and the zero row
+    assert rank1_rows(F, pts[:60].reshape(3, 4, 5, 6)).ravel().tolist() == want[:60]
+    assert rank1_rows(F, np.zeros((1, 6), dtype=np.uint8)).tolist() == [False]

@@ -127,6 +127,36 @@ def test_pg5_lines():
     assert idxs.tolist() == [space.index(space.normalize(R)) for R in span(F, P, Q)]
 
 
+def _span_reference(F, P, Q):
+    return [list(Q)] + [[F.add(x, F.mul(lam, y)) for x, y in zip(P, Q)] for lam in F.elements()]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_span_matches_scalar_formula(d):
+    # Q, then P + lambda*Q through the scalar field operations
+    F = field(3, 2)
+    space = projective_space(F, d)
+    rng = random.Random(d)
+    idx = [rng.randrange(space.npoints) for _ in range(14)]
+    P, Q = space.point(idx[0]), space.point(idx[1])
+    one = span(F, P, Q)
+    assert one.shape == (F.order + 1, d + 1) and one.dtype == np.uint8
+    assert one.tolist() == _span_reference(F, P, Q)
+    # a batch of pairs, and one point broadcast against a batch
+    Ps = space.coords_array()[idx[:7]]
+    Qs = space.coords_array()[idx[7:]]
+    assert span(F, Ps, Qs).tolist() == [_span_reference(F, a, b) for a, b in zip(Ps.tolist(), Qs.tolist())]
+    assert span(F, P, Qs).tolist() == [_span_reference(F, P, b) for b in Qs.tolist()]
+
+
+def test_index_of_a_numpy_row():
+    # uint8 coordinates times n^k would overflow without the int() conversion
+    space = projective_space(field(3, 2), 5)
+    row = space.coords_array()[40000]
+    assert row.dtype == np.uint8
+    assert space.index(row) == 40000
+
+
 def test_points_on_line_canonical_order():
     plane = projective_plane(field(3, 2))
     pts = plane.points_on_line((0, 0, 1))
