@@ -18,14 +18,17 @@ lies on no member if it is on L_P or L_Q (M(X) != 0 there), and otherwise
 on the member lam = -M(X)^2 / (L_P(X)*L_Q(X)) alone, which is 0 when X is
 on the line PQ.
 
-The search counts with the set's own points.  A member C_lam, lam != 0, is
-irreducible and has n+1 points; each of them other than P and Q is off
-L_P, off L_Q and off M.  Every point R of S other than P, Q is off L_P and
-L_Q, since those are tangent lines of S.  So R lies on C_lam exactly when
-M(R) != 0 and lam = -M(R)^2 / (L_P(R)*L_Q(R)).  Take P < Q < R in index
-order: C_lam lies inside S exactly when n-1 points R > Q hit lam, and then
-P and Q are the two lowest points of C_lam.  Each conic inside S is thus
-found exactly once, from its two lowest points.
+The search counts with the set's own points.  Let C be a conic inside S
+with lowest point P.  Tangent lines of S meet S once, so C touches L_P at
+P and L_Q at each of its points Q; it is a member C_lam, lam != 0, of the
+pencil of P and Q.  Any line through P other than L_P meets C in one more
+point, a point of S after P, so Q need only run over the later points of S
+on one secant of P: its anchor secant, the one with the fewest.  A point R
+of S other than P, Q is off L_P and L_Q, so it lies on C_lam exactly when
+M(R) != 0 and lam = -M(R)^2/(L_P(R)*L_Q(R)).  So C_lam lies inside S with
+lowest point P exactly when n-1 points R > P of S hit lam, and each conic
+inside S is found once, from its lowest point and its point on the anchor
+secant.
 """
 
 import enum
@@ -46,7 +49,7 @@ from .conic import (
     eval_many,
     rank1_rows,
 )
-from .geom import PointSet, det3, projective_plane, projective_space, span, tangent_lines
+from .geom import PointSet, det3, line_counts, projective_plane, projective_space, span, tangent_lines
 from .gf import GF, QuadraticCharacter, _isqrt_exact, nullspace
 from .unital import NotAUnital, is_unital
 from .veronese import veronese_point
@@ -210,6 +213,8 @@ def case1_exceptional_vpoints(F: GF, k: int, beta: int):
 
 # -- conic enumeration inside a point set ----------------------------------------
 
+_CHUNK = 1 << 16  # (row, R) entries per gather of the pencil search
+
 
 def _unique_tangents(S: PointSet):
     """(|S|, 3) array whose row i is the dual vector of the unique 1-point
@@ -266,62 +271,69 @@ def _conics_contained_exhaustive(S: PointSet):
     return out
 
 
+def _anchor_pairs(S: PointSet):
+    """Position pairs (P, Q) of the pencil search, sorted: for each point P
+    of S, the later points Q of S on its anchor secant, the secant through
+    P with the fewest of them."""
+    N = S.card
+    rank = np.where(S.member, np.cumsum(S.member, dtype=np.int32) - 1, -1)
+    on = rank[S.space.lines[line_counts(S) > 1]]
+    inside = on >= 0
+    # a line's points are sorted, so its points of S come in rank order
+    later = np.cumsum(inside[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - inside
+    li, col = np.nonzero(inside)
+    # the smallest later*|secants| + line for each P names its anchor secant
+    best = np.full(N, np.iinfo(np.int64).max)
+    np.minimum.at(best, on[li, col], later[li, col] * np.int64(len(on)) + li)
+    anchor = on[best % len(on)]
+    p, c = np.nonzero(anchor > np.arange(N)[:, None])
+    return p, anchor[p, c]
+
+
 def _conics_contained_pencils(S: PointSet, tangents):
     """Bitangent-pencil search by counting (the argument is in the module
-    docstring).  For each point Q of S and each earlier point P, count the
-    later points R of S on each member lam of M^2 + lam*L_P*L_Q; a member
-    hit n-1 times is a conic inside S whose two lowest points are P and Q.
+    docstring).  For each anchor pair (P, Q), count the points R > P of S
+    on each member lam of M^2 + lam*L_P*L_Q; a member hit n-1 times is a
+    conic inside S whose lowest point is P.
 
-    The count works in int16 discrete logarithms, over tables built once:
-    R x P = c * u with u the normalised line PR, so M(R) = c * (u . Q) and
-    log lam = A[P,R] + B[Q, line[P,R]] + E[Q,R], with A[P,R] = log -c^2/L_P(R),
-    B[Q,l] = log (l . Q)^2 and E[Q,R] = log 1/L_Q(R).  Only B has a factor
-    that can be 0 (R on the line PQ); its log is a sentinel past any sum of
-    three valid logs, and one lookup maps a sum to log lam or to a dump
-    column g.  Only the entries P < R of A and line are read."""
+    The count works in int16 discrete logarithms, log lam = log -1 +
+    log M(R)^2 + log 1/L_P(R) + log 1/L_Q(R), over chunks of rows.  Only
+    M(R) can be 0 (R on the line PQ, P and Q included); its log is a
+    sentinel past any sum of three valid logs, and one lookup maps a sum
+    to log lam or to a dump column g.  Every sum is below 5g, which fits
+    int16 up to order TABLE_LIMIT."""
     plane = S.space
     F = plane.field
-    n = F.order
-    g = n - 1
+    n, g = F.order, F.order - 1
     pts = plane.coords_array()[S.member]
     N = len(pts)
-    if N <= n:  # a conic has n+1 points
+    p, q = _anchor_pairs(S)
+    # a conic has n points after its lowest
+    p, q = p[p < N - n], q[p < N - n]
+    if len(p) == 0:
         return []
     zero = 3 * g - 2
     lookup = np.full(zero + 2 * g - 1, g, dtype=np.int16)
-    lookup[:zero] = np.arange(zero) % g
-    lg = F.log_table
-    log_inv = (-lg % g).astype(np.int16)
-    log_sq = (2 * lg % g).astype(np.int16)
+    lookup[:zero] = (np.arange(zero) + g // 2) % g
+    log_inv = (-F.log_table % g).astype(np.int16)
+    log_sq = (2 * F.log_table % g).astype(np.int16)
     log_sq[0] = zero
-    # R x P for P < R only: it is 0 on the diagonal, which spans no line
-    pi, ri = np.triu_indices(N, 1)
-    xp = _cross(F, pts[ri], pts[pi])
-    line = np.zeros((N, N), dtype=np.int64)
-    line[pi, ri] = plane.index_rows(xp)
-    c = np.zeros((N, N), dtype=xp.dtype)
-    c[pi, ri] = xp[np.arange(len(xp)), (xp != 0).argmax(axis=1)]
-    # S meets each tangent line in its own point alone, so L_P(R) != 0 for R != P
-    lp = _dot(F, tangents[:, None, :], pts[None, :, :])
-    A = (g // 2 + log_sq[c] + log_inv[lp]) % g
-    E = log_inv[lp]
-    del pi, ri, xp, c, lp
-    # B is the largest table; blocks of rows bound the _dot temporaries
-    B = np.empty((N, plane.npoints), dtype=np.int16)
-    for lo in range(0, N, 256):
-        B[lo : lo + 256] = log_sq[_dot(F, pts[lo : lo + 256, None, :], plane.coords_array()[None, :, :])]
-    offsets = (g + 1) * np.arange(N)[:, None]
-    found_p, found_q, found_k = [], [], []
-    # a conic needs n-1 points after its second lowest
-    for j in range(1, N - n + 1):
-        lam = lookup[A[:j, j + 1 :] + B[j].take(line[:j, j + 1 :]) + E[j, j + 1 :]]
-        counts = np.bincount((lam + offsets[:j]).ravel(), minlength=j * (g + 1))
-        p, k = np.nonzero(counts.reshape(j, g + 1)[:, :g] == n - 1)
-        found_p.append(p)
-        found_q.append(np.full(len(p), j))
-        found_k.append(k)
-    p, q, k = (np.concatenate(x) for x in (found_p, found_q, found_k))
-    rows = _pencil_member(F, _cross(F, pts[p], pts[q]), tangents[p], tangents[q], F.exp_table[k])
+    m = _cross(F, pts[p], pts[q])
+    found = []
+    step = max(1, _CHUNK // N)
+    for lo in range(0, len(p), step):
+        rows, R = slice(lo, lo + step), pts[None, p[lo] + 1 :]
+        s = log_sq[_dot(F, m[rows, None], R)]
+        s += log_inv[_dot(F, tangents[p[rows], None], R)]
+        s += log_inv[_dot(F, tangents[q[rows], None], R)]
+        # R starts after the chunk's first P; the later rows drop R <= P
+        s[np.arange(p[lo] + 1, N) <= p[rows, None]] = zero
+        lam = lookup[s] + (g + 1) * np.arange(len(s))[:, None]
+        counts = np.bincount(lam.ravel(), minlength=len(s) * (g + 1)).reshape(len(s), g + 1)
+        r, k = np.nonzero(counts[:, :g] == n - 1)
+        found.append((r + lo, k))
+    r, k = (np.concatenate(x) for x in zip(*found))
+    rows = _pencil_member(F, m[r], tangents[p[r]], tangents[q[r]], F.exp_table[k])
     space5 = projective_space(F, 5)
     return [Conic(F, space5.point(int(i))) for i in np.sort(space5.index_rows(rows))]
 
@@ -549,13 +561,13 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     reps = (classify_pair(conics[i], conics[j]) for i, j in zip(*np.nonzero(hyp)))
     violations = [rep for rep in reps if rep.ptype == PencilType.OTHER]
     rng = random.Random(seed)
-    cases = [(c, admissible_ks(F, c, alpha)) for c in (1, 2, 3)]
-    cases = [(c, ks) for c, ks in cases if ks]
+    # each admissible case pair is built once, and its conics keep their points
+    cases = [[canonical_case_pair(F, c, k, alpha) for k in admissible_ks(F, c, alpha)] for c in (1, 2, 3)]
+    cases = [pairs for pairs in cases if pairs]
     sampled = 0
     for _ in range(samples):
-        case, ks = cases[rng.randrange(len(cases))]
-        k = ks[rng.randrange(len(ks))]
-        C0, D0 = canonical_case_pair(F, case, k, alpha)
+        pairs = cases[rng.randrange(len(cases))]
+        C0, D0 = pairs[rng.randrange(len(pairs))]
         M = random_invertible(F, rng)
         C1, D1 = C0.transform(M), D0.transform(M)
         pc = _transform_points(plane, M, C0.points())

@@ -594,6 +594,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "samples", 0) < 0:
+            raise UsageError(f"--samples must be at least 0, got {args.samples}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

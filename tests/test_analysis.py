@@ -1,9 +1,13 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from unitals import analysis
 from unitals.analysis import (
     CoincidentConics,
     FieldTooSmall,
@@ -18,12 +22,13 @@ from unitals.analysis import (
     no_external_points,
     random_invertible,
     verify_afkl,
+    _anchor_pairs,
     _hypothesis_matrix,
     _transform_points,
     _unique_tangents,
 )
 from unitals.conic import Conic, PencilKind, SingularConic, _monomials, canonical_pencil
-from unitals.geom import PointSet, projective_plane, projective_space, span
+from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field, nullspace
 from unitals.unital import NotAUnital, behs_unital, hermitian_unital, unital_q
 
@@ -352,6 +357,82 @@ def test_pencil_search_commutes_with_collineations(p):
             images = sorted((C.transform(M) for C in inside), key=lambda C: space5.index(C.coeffs))
             assert conics_contained(_transform_points(plane, M, S), method="pencil") == images
     assert conics_contained(PointSet(plane, np.zeros(plane.npoints, dtype=bool)), method="pencil") == []
+
+
+_F9 = field(3, 2)
+# invertible 3x3 matrices over GF(9), row by row
+_COLLINEATIONS_Q3 = (
+    st.lists(st.integers(0, 8), min_size=9, max_size=9)
+    .map(lambda v: (tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
+    .filter(lambda M: det3(_F9, M) != 0)
+)
+_BEHS_CONICS_Q3 = [C for t in _F9.nonsquares() for C in behs_unital(_F9, t)[1]]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(["behs", "hermitian"]), _COLLINEATIONS_Q3)
+def test_pencil_search_matches_exhaustive_on_collineation_images(kind, M):
+    S = behs_unital(_F9)[0] if kind == "behs" else hermitian_unital(_F9)
+    image = _transform_points(projective_plane(_F9), M, S)
+    assert conics_contained(image, method="pencil") == conics_contained(image, method="exhaustive")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sets(st.integers(0, len(_BEHS_CONICS_Q3) - 1), min_size=1, max_size=5), _COLLINEATIONS_Q3)
+def test_pencil_search_matches_exhaustive_on_unions_of_behs_conics(chosen, M):
+    # unions of construction conics from every non-square class, moved by a
+    # collineation; the pencil search needs a unique tangent at every point
+    union = reduce(or_, (_BEHS_CONICS_Q3[i].points() for i in chosen))
+    S = _transform_points(projective_plane(_F9), M, union)
+    if _unique_tangents(S) is None:
+        with pytest.raises(ValueError):
+            conics_contained(S, method="pencil")
+    else:
+        assert conics_contained(S, method="pencil") == conics_contained(S, method="exhaustive")
+
+
+def _anchor_candidates(S):
+    """For each rank r of a point P of S, by a loop over the secants through
+    P: every shortest list of the ranks after r on one such secant."""
+    plane = S.space
+    rank = {pt: r for r, pt in enumerate(S.indices())}
+    secants = [plane.lines[li].tolist() for li in np.flatnonzero(line_counts(S) > 1)]
+    out = []
+    for pt, r in rank.items():
+        laters = [sorted(rank[x] for x in line if rank.get(x, -1) > r) for line in secants if pt in line]
+        out.append([qs for qs in laters if len(qs) == min(map(len, laters))])
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_anchor_pairs_match_oracle(p):
+    F = field(p, 2)
+    U = behs_unital(F)[0]
+    image = _transform_points(projective_plane(F), random_invertible(F, random.Random(p)), U)
+    for S in (U, hermitian_unital(F), image):
+        ps, qs = (a.tolist() for a in _anchor_pairs(S))
+        assert ps == sorted(ps)
+        for r, candidates in enumerate(_anchor_candidates(S)):
+            assert [q for pr, q in zip(ps, qs) if pr == r] in candidates
+
+
+def test_pencil_search_chunks_do_not_change_output(monkeypatch):
+    # one row per chunk, so that every chunk starts its R at its own P
+    F = field(5, 2)
+    U = behs_unital(F)[0]
+    sets = [U, hermitian_unital(F), _transform_points(projective_plane(F), random_invertible(F, random.Random(9)), U)]
+    expected = [conics_contained(S, method="pencil") for S in sets]
+    monkeypatch.setattr(analysis, "_CHUNK", 1)
+    assert [conics_contained(S, method="pencil") for S in sets] == expected
+    assert [len(c) for c in expected] == [5, 0, 5]
+
+
+@pytest.mark.parametrize("q,behs,herm", [(5, 92, 116), (7, 346, 347)])
+def test_anchor_pairs_complexity_guard(q, behs, herm):
+    # the search reads one row per anchor pair: about 2|S|, at most q|S|
+    F = field(q, 2)
+    for S, count in ((behs_unital(F)[0], behs), (hermitian_unital(F), herm)):
+        assert len(_anchor_pairs(S)[0]) == count <= q * S.card
 
 
 def test_verify_afkl_guard():

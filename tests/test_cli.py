@@ -169,6 +169,9 @@ def test_usage_errors(capsys):
         "field --p 3 --h 2 --modulus 4,0,1",
         "field --p 3 --h 2 --modulus=-2,0,1",
         "field --p 3 --h 2 --modulus 5,0,1",
+        "check --claim afkl --q 5 --samples -5",
+        "check --claim theorem3 --q 3 --samples -50",
+        "report-all --q 3 --samples -1",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -187,6 +190,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert "admissible: 3, 6" in captured.err
     if "--p 2" in argv:
         assert "odd characteristic" in captured.err
+    if "--samples" in argv:
+        assert "--samples must be at least 0" in captured.err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
