@@ -8,6 +8,10 @@ configuration, including --seed, produces byte-identical output.  Every
 subcommand accepts --workers and ignores it: every check runs in one
 process.
 
+The parser is built once per process; ``main`` runs subcommand NAME as the
+module's function ``cmd_NAME`` (dashes read as underscores), looked up when
+it is called, so a function replaced on the module is the one that runs.
+
 Exit status: 0 when every checked claim is verified, 1 when a claim is
 violated, 2 on usage errors (including claims refused at the given order),
 3 on an internal error, whose traceback goes to stderr.
@@ -18,6 +22,7 @@ import json
 import random
 import sys
 import traceback
+from functools import lru_cache
 
 import numpy as np
 
@@ -530,6 +535,7 @@ def _add_common(sp):
     sp.add_argument("--workers", type=int, default=1, help="accepted and ignored: every check runs in one process")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="unitals",
@@ -540,13 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("field", help="print the field description and tables")
     _add_field_opts(sp)
     _add_common(sp)
-    sp.set_defaults(func=cmd_field)
 
-    for name, fn, extra in (
-        ("build-unital", cmd_build_unital, True),
-        ("verify-unital", cmd_verify_unital, True),
-        ("enum-conics", cmd_enum_conics, True),
-    ):
+    for name in ("build-unital", "verify-unital", "enum-conics"):
         sp = sub.add_parser(name)
         _add_field_opts(sp)
         _add_common(sp)
@@ -555,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--points", help="JSON file of point indices ('-' for stdin) instead of --kind")
         if name == "enum-conics":
             sp.add_argument("--method", choices=("auto", "pencil", "exhaustive"), default="auto")
-        sp.set_defaults(func=fn)
 
     sp = sub.add_parser("classify-pair", help="pencil classification of a pair of conics")
     _add_field_opts(sp)
@@ -565,27 +565,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k2", type=int)
     sp.add_argument("--conic", help="six comma-separated coefficient indices")
     sp.add_argument("--conic2", help="six comma-separated coefficient indices")
-    sp.set_defaults(func=cmd_classify_pair)
 
     sp = sub.add_parser("cone-residual", help="cone-intersection oracle vs the closed forms")
     _add_field_opts(sp)
     _add_common(sp)
     sp.add_argument("--case", type=int, choices=(1, 2, 3), required=True)
     sp.add_argument("--k", type=int, help="pencil parameter; all admissible k when omitted")
-    sp.set_defaults(func=cmd_cone_residual)
 
     sp = sub.add_parser("check", help="verify one claim")
     sp.add_argument("--claim", required=True, choices=("theorem3", "afkl", "lemma1", "lemma2", "main", "nucleus"))
     _add_field_opts(sp)
     _add_common(sp)
     sp.add_argument("--samples", type=int, default=100)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("report-all", help="run every claim and aggregate the statuses")
     _add_field_opts(sp)
     _add_common(sp)
     sp.add_argument("--samples", type=int, default=100, help="random conics for the classifier check")
-    sp.set_defaults(func=cmd_report_all)
 
     return ap
 
@@ -596,7 +592,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "samples", 0) < 0:
             raise UsageError(f"--samples must be at least 0, got {args.samples}")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,10 @@ import numpy as np
 from .gf import GF
 
 
+# line-table entries written per block of duals: PG(2,81) is one block
+_LINE_BLOCK_ENTRIES = 1 << 20
+
+
 class UnsupportedDimension(ValueError):
     pass
 
@@ -131,26 +135,33 @@ class ProjectiveSpace:
 
     def _build_lines(self):
         """(npoints, n+1) int32 array: row li holds the sorted indices of the
-        points of the line whose dual vector is the point with index li."""
+        points of the line L.x = 0 whose dual vector L is the point with
+        index li.
+
+        With l2 != 0 the line holds Q = (0, 1, q), q = -l1/l2, and the points
+        P + lam*Q of P = (1, 0, p), p = -l0/l2, all normalised: the row is
+        1 + q, then n+1 + n*lam + (p + lam*q) for lam = 0..n-1, in increasing
+        order.  With l2 = 0 it holds (0, 0, 1), index 0, and the n points
+        (1, b, lam), b = -l0/l1, or (0, 1, lam) when l1 = 0 too.  The rows
+        are written into the table a block of duals at a time, so that the
+        temporaries stay at two bytes per entry of one block."""
         F = self.field
-        duals = self.coords_array()
-        lead = (duals != 0).argmax(axis=1)
-        # the leading entry of a dual L is 1, at position i; the vectors
-        # e_j - L_j e_i for the two positions j != i span the points x with
-        # L.x = 0 (the smaller j gives b1, the larger b2)
-        rows = np.arange(len(duals))
-
-        def null_vector(j):
-            v = np.zeros_like(duals)
-            v[rows, j] = 1
-            v[rows, lead] = F.neg_table[duals[rows, j]]
-            return v
-
-        b1 = null_vector((lead == 0).astype(np.int64))
-        b2 = null_vector(2 - (lead == 2))
-        idx = self.index_rows(span(F, b1, b2).reshape(-1, 3)).reshape(len(duals), -1)
-        idx.sort(axis=1)
-        out = idx.astype(np.int32)
+        m = F.order
+        out = np.empty((self.npoints, m + 1), dtype=np.int32)
+        lam = np.arange(m)
+        block = max(1, _LINE_BLOCK_ENTRIES // (m + 1))
+        for start in range(0, self.npoints, block):
+            l0, l1, l2 = self.coords_array()[start : start + block].T
+            misses_z = l2 != 0  # the line misses (0, 0, 1)
+            q = F.neg_table[F.mul_table[l1, F.inv_table[l2]]]
+            p = F.neg_table[F.mul_table[l0, F.inv_table[l2]]]
+            b = F.neg_table[F.mul_table[l0, F.inv_table[l1]]].astype(np.int32)
+            rows = out[start : start + block]
+            rows[:, 0] = np.where(misses_z, 1 + q.astype(np.int32), 0)
+            tail = rows[:, 1:]
+            np.multiply(np.where(misses_z, m, 1)[:, None], lam, out=tail)
+            tail += np.where(misses_z, m + 1, np.where(l1 != 0, m + 1 + m * b, 1))[:, None]
+            tail += F.add_table[p[:, None], F.mul_table[lam, q[:, None]]]
         out.flags.writeable = False
         return out
 

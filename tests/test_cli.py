@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals import cli
 from unitals.cli import main
@@ -204,6 +208,153 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("Traceback")
     assert captured.err.endswith("RuntimeError: broken on purpose\n")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    code, out = run_cli(capsys, "field", "--q", "3", "--format", "text")
+    assert code == 0 and out.startswith("field:")
+    code, rep = run_json(capsys, "field", "--q", "3")  # JSON again, the default
+    assert code == 0 and rep["field"]["order"] == 9
+    code, rep = run_json(capsys, "check", "--claim", "theorem3", "--q", "3", "--samples", "5")
+    assert code == 0 and rep["conics_checked"] == 8
+    code, rep = run_json(capsys, "check", "--claim", "theorem3", "--q", "3")
+    assert code == 0 and rep["conics_checked"] == 103
+    assert run_cli(capsys, "field", "--q", "6")[0] == 2
+    assert run_cli(capsys, "field", "--q", "3")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["field", "--q", "3", "--no-such-option"])
+    assert run_cli(capsys, "field", "--q", "3")[0] == 0
+
+
+# -- fuzzing the command line ---------------------------------------------------------
+
+# each option's values as (valid, invalid), where "valid" means in range, not
+# necessarily accepted by every command; the field options, --modulus
+# included, come as a unit, so that every valid plane has order at most 9
+_FIELD_ARGS = (
+    [
+        ["--q", "3"],
+        ["--q", "3", "--modulus", "2,2,1"],
+        ["--q", "2"],
+        ["--p", "3", "--h", "2"],
+        ["--p", "3", "--h", "2", "--modulus", "1,0,1"],
+        ["--p", "2", "--h", "2"],
+        ["--p", "2", "--h", "1"],
+        ["--p", "2", "--h", "3", "--modulus", "1,1,0,1"],
+        ["--p", "3", "--h", "1"],
+        ["--p", "5", "--h", "1", "--modulus", "1,1"],
+        ["--p", "7", "--h", "1"],
+    ],
+    [
+        [],
+        ["--q", "-1"],
+        ["--q", "0"],
+        ["--q", "6"],
+        ["--q", "12"],
+        ["--p", "4", "--h", "1"],
+        ["--p", "-3", "--h", "1"],
+        ["--p", "3", "--h", "0"],
+        ["--p", "3", "--h", "-2"],
+        ["--p", "3"],
+        ["--h", "2"],
+        ["--q", "3", "--modulus", "1,1,1"],  # reducible
+        ["--q", "3", "--modulus", "1,1"],  # wrong degree
+        ["--q", "3", "--modulus", "5,0,1"],
+        ["--q", "3", "--modulus", "-2,0,1"],
+        ["--q", "3", "--modulus", "x"],
+        ["--p", "2", "--h", "2", "--modulus", "1,0,1"],
+    ],
+)
+_ELEMENTS = ([str(a) for a in range(9)], ["9", "99", "-1", "-3", "x"])
+_CONICS = (
+    ["1,0,0,0,0,0", "0,0,1,2,0,0", "0,0,1,1,0,0", "1,1,1,0,0,0", "0,0,0,1,1,1", "2,0,1,0,0,1"],
+    ["1,2,3,4,5,99", "1,-1,0,0,0,0", "0,0,0,0,0,0", "1,2", "1,2,3,4,5,6,7", "a,b,c,d,e,f"],
+)
+# --points names a file of the points_files fixture
+_VALUES = {
+    "--format": (["json", "csv", "text"], ["yaml"]),
+    "--seed": (["0", "7", "-1"], ["x"]),
+    "--workers": (["1", "3", "0", "-1"], ["x"]),
+    "--kind": (["behs", "hermitian"], ["classical"]),
+    "--t": _ELEMENTS,
+    "--points": (["valid", "plane", "empty"], ["outside", "negative", "bools", "object", "garbage", "missing"]),
+    "--method": (["auto", "pencil", "exhaustive"], ["fast"]),
+    "--case": (["1", "2", "3"], ["0", "-1", "4"]),
+    "--k": _ELEMENTS,
+    "--k2": _ELEMENTS,
+    "--conic": _CONICS,
+    "--conic2": _CONICS,
+    "--claim": (["theorem3", "afkl", "lemma1", "lemma2", "main", "nucleus"], ["bogus"]),
+    "--samples": (["0", "3", "20"], ["-5"]),
+}
+
+
+def _command_options():
+    """Subcommand name -> [(option string, required)] for its options besides
+    the field options, read off the parser."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a.choices, dict))
+    skip = {"-h", "--help", "--q", "--p", "--h", "--modulus"}
+    return {
+        name: [(a.option_strings[0], a.required) for a in sp._actions if a.option_strings[0] not in skip]
+        for name, sp in sub.choices.items()
+    }
+
+
+_COMMANDS = _command_options()
+
+
+@st.composite
+def _argvs(draw):
+    def pick(values):
+        valid, invalid = values
+        return draw(st.sampled_from(invalid if draw(st.integers(0, 7)) == 0 else valid))
+
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["no-such-command"]))
+    argv = [command] + pick(_FIELD_ARGS)
+    # a required option is left out now and then, any other one half the time
+    names = [name for name, required in _COMMANDS.get(command, []) if draw(st.integers(0, 7 if required else 1))]
+    if draw(st.integers(0, 7)) == 0:  # now and then an option of another command
+        names.append(draw(st.sampled_from(sorted(_VALUES))))
+    for name in names:
+        argv += [name, pick(_VALUES[name])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def points_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("points")
+    contents = {
+        "valid": "[0, 1, 2, 5]",
+        "plane": json.dumps(list(range(91))),
+        "empty": "[]",
+        "outside": "[0, 91]",
+        "negative": "[-1, 2]",
+        "bools": "[true, 1]",
+        "object": '{"points": [0]}',
+        "garbage": "[0, 1",
+    }
+    for name, text in contents.items():
+        (root / f"{name}.json").write_text(text)
+    return {name: str(root / f"{name}.json") for name in [*contents, "missing"]}
+
+
+@settings(max_examples=600, deadline=timedelta(seconds=5), database=None)
+@given(argv=_argvs())
+def test_fuzzed_argv_exits_with_a_documented_status(points_files, argv):
+    # any command line ends in 0, 1 or 2, never in an internal error
+    argv = [points_files[a] if argv[i - 1] == "--points" else a for i, a in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_points_outside_the_plane_are_a_usage_error(tmp_path, capsys):

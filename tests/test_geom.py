@@ -1,13 +1,16 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from unitals import geom
 from unitals.gf import field
 from unitals.geom import (
     CoincidentPoints,
     PointSet,
+    ProjectiveSpace,
     SingularMatrix,
     UnsupportedDimension,
     apply_collineation,
@@ -245,3 +248,24 @@ def test_lines_match_scalar_incidence(p, h):
             if F.add(F.add(F.mul(L[0], X[0]), F.mul(L[1], X[1])), F.mul(L[2], X[2])) == 0
         ]
         assert plane.lines[li].tolist() == on
+
+
+def test_line_table_blocks_do_not_change_it(monkeypatch):
+    F = field(5, 2)
+    whole = ProjectiveSpace(F, 2).lines
+    monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 8 * 26)  # blocks of 8 duals, the last one short
+    assert np.array_equal(ProjectiveSpace(F, 2).lines, whole)
+
+
+def test_line_table_build_peaks_near_the_table_size():
+    # the table is written a block of duals at a time: building PG(2,121),
+    # a 7 MB table, allocates at most as much again besides it
+    F = field(11, 2)
+    tracemalloc.start()
+    try:
+        plane = ProjectiveSpace(F, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plane.lines.nbytes == 14763 * 122 * 4
+    assert peak <= 2 * plane.lines.nbytes
