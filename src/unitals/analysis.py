@@ -78,15 +78,6 @@ class PencilReport:
     rank1_member: Conic | None
     hypothesis_holds: bool
 
-    def to_json(self):
-        return {
-            "conics": [list(C.coeffs) for C in self.conics],
-            "common_points": [list(P) for P in self.common_points],
-            "ptype": self.ptype.value,
-            "rank1_member": list(self.rank1_member.coeffs) if self.rank1_member else None,
-            "hypothesis_holds": self.hypothesis_holds,
-        }
-
 
 def no_external_points(C: Conic, pts_d: PointSet) -> bool:
     """Whether every point of D minus C avoids the external points of C.
@@ -386,20 +377,11 @@ def conics_contained(S: PointSet, method: str = "auto"):
 
 @dataclass
 class DiffSetReport:
-    klass: str
+    class_: str
     max_size: int
     witnesses: list
     all_maximal_are_cosets: bool | None = None
     zero_convention: str | None = None
-
-    def to_json(self):
-        return {
-            "class": self.klass,
-            "max_size": self.max_size,
-            "witnesses": [list(w) for w in self.witnesses],
-            "all_maximal_are_cosets": self.all_maximal_are_cosets,
-            "zero_convention": self.zero_convention,
-        }
 
 
 def _max_cliques(vertices, adjacent):
@@ -480,21 +462,7 @@ class AfklReport:
     symmetric_pairs: int
     sampled_pairs: int
     violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def to_json(self):
-        return {
-            "order": self.order,
-            "exhaustive_pairs": self.exhaustive_pairs,
-            "hypothesis_pairs": self.hypothesis_pairs,
-            "symmetric_pairs": self.symmetric_pairs,
-            "sampled_pairs": self.sampled_pairs,
-            "violations": [v.to_json() for v in self.violations],
-            "ok": self.ok,
-        }
+    ok: bool
 
 
 def random_invertible(F: GF, rng: random.Random):
@@ -582,7 +550,7 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
             or not no_external_points(D1, pc)
         ):
             violations.append(rep)
-    return AfklReport(n, checked, hyp_pairs, sym_pairs, sampled, violations)
+    return AfklReport(n, checked, hyp_pairs, sym_pairs, sampled, violations, not violations)
 
 
 # -- the union-of-conics certificate ----------------------------------------------
@@ -603,23 +571,6 @@ class UnionCertificate:
     pair_types: list | None = None
     uncovered: list | None = None
     notes: list | None = None
-
-    def to_json(self):
-        return {
-            "q": self.q,
-            "q_odd": self.q_odd,
-            "covered": self.covered,
-            "signature": self.signature,
-            "conics": [list(C.coeffs) for C in self.conics],
-            "base_point": list(self.base_point) if self.base_point else None,
-            "tangent": list(self.tangent) if self.tangent else None,
-            "parameters": self.parameters,
-            "parameter_coset_ok": self.parameter_coset_ok,
-            "parameter_characters_ok": self.parameter_characters_ok,
-            "pair_types": self.pair_types,
-            "uncovered": self.uncovered,
-            "notes": self.notes,
-        }
 
 
 def _pencil_parameter(F: GF, base, tangent_sq, Ci: Conic):

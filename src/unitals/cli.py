@@ -4,7 +4,10 @@ report.
 Reports are JSON by default with a fixed key order, field elements appear
 as integer indices, and each report carries the field description (p, h,
 modulus coefficients ascending) so it is self-describing.  Identical
-configuration, including --seed, produces byte-identical output.  Every
+configuration, including --seed, produces byte-identical output.  This
+module is the only one that speaks JSON: the library returns dataclasses,
+and ``_emit`` encodes them through one ``json.dumps`` hook, ``_jsonable``;
+--format text reads the JSON text back and lays it out.  Every
 subcommand accepts --workers and ignores it: every check runs in one
 process.
 
@@ -18,6 +21,8 @@ violated, 2 on usage errors (including claims refused at the given order),
 """
 
 import argparse
+import dataclasses
+import enum
 import json
 import random
 import sys
@@ -28,7 +33,7 @@ import numpy as np
 
 from . import analysis, gf, veronese
 from .conic import Conic, PencilKind, canonical_pencil
-from .geom import projective_plane, projective_space
+from .geom import PointSet, projective_plane, projective_space
 from .gf import GF, is_prime
 from .unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
 
@@ -70,19 +75,34 @@ def field_from_args(args, need_square=False) -> GF:
     raise UsageError("specify the field with --q or with --p/--h")
 
 
+def _fields(report) -> dict:
+    """A dataclass as the dict of its fields in declaration order, a trailing
+    underscore dropped from each name (``class_`` is written "class")."""
+    return {f.name.removesuffix("_"): getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _jsonable(obj):
+    """``json.dumps`` hook for the library's values: a conic as its
+    coefficient list, an enum member as its value, a dataclass as its fields."""
+    if isinstance(obj, Conic):
+        return list(obj.coeffs)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
 def _emit(args, report: dict, csv_rows=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    elif fmt == "csv":
+    if args.format == "csv":
         if csv_rows is None:
             raise UsageError("csv output is only offered for line-profile and difference-set tables")
         sys.stdout.write("\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n")
-    elif fmt == "text":
-        for line in _text_lines(report, ""):
-            sys.stdout.write(line + "\n")
-    else:
-        raise UsageError(f"unknown format {fmt}")
+        return
+    text = json.dumps(report, indent=2, default=_jsonable)
+    if args.format == "text":
+        text = "\n".join(_text_lines(json.loads(text), ""))
+    sys.stdout.write(text + "\n")
 
 
 def _text_lines(obj, indent):
@@ -157,27 +177,20 @@ def run_lemma1(F: GF) -> dict:
     q = unital_q(F)
     rep = analysis.lemma1_search(F)
     bound = (q + 1) // 2
-    out = {"claim": "lemma1", "field": F.describe(), "q": q}
-    out.update(rep.to_json())
-    out["bound"] = bound
-    out["ok"] = rep.max_size == bound
-    return out
+    ok = rep.max_size == bound
+    return {"claim": "lemma1", "field": F.describe(), "q": q, **_fields(rep), "bound": bound, "ok": ok}
 
 
 def run_lemma2(F: GF) -> dict:
     q = unital_q(F)
     rep = analysis.lemma2_search(F)
-    out = {"claim": "lemma2", "field": F.describe(), "q": q}
-    out.update(rep.to_json())
-    out["ok"] = rep.max_size == q and bool(rep.all_maximal_are_cosets)
-    return out
+    ok = rep.max_size == q and bool(rep.all_maximal_are_cosets)
+    return {"claim": "lemma2", "field": F.describe(), "q": q, **_fields(rep), "ok": ok}
 
 
 def run_afkl(F: GF, samples: int, seed: int) -> dict:
     rep = analysis.verify_afkl(F, samples=samples, seed=seed)
-    out = {"claim": "afkl", "field": F.describe()}
-    out.update(rep.to_json())
-    return out
+    return {"claim": "afkl", "field": F.describe(), **_fields(rep)}
 
 
 def run_nucleus() -> dict:
@@ -206,7 +219,13 @@ def run_nucleus() -> dict:
 def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
     """Exact cone residuals against the closed-form residual lists for one
     case, at every order: each residual is the intersection of the two
-    directly built cones, so it covers all of PG(5,n) ("sweep": "full")."""
+    directly built cones, so it covers all of PG(5,n) ("sweep": "full").
+
+    Case 1 also asks that no exceptional line p1 p_beta meet V.  That
+    fails, rightly, at orders = 5 mod 8: k = -1 is admissible exactly when
+    -1 is a square and 2 is not, and with beta = -1 the line passes through
+    z^2 = (0,0,1,0,0,0).  Square orders q^2 are 1 mod 8, so no plane of the
+    paper admits k = -1."""
     alpha = min(F.nonsquares())
     ks = analysis.admissible_ks(F, case, alpha) if k is None else [k]
     pairs = [analysis.canonical_case_pair(F, case, kk, alpha) for kk in ks]
@@ -221,9 +240,7 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
         entry = {"k": kk, "residual_size": len(res), "matches_closed_form": match}
         if full:
             conics = [Conic(F, P) for P in res]
-            entry["residual"] = [
-                {"point": list(P), "conic": list(E.coeffs), "rank": E.rank()} for P, E in zip(res, conics)
-            ]
+            entry["residual"] = [{"point": P, "conic": E, "rank": E.rank()} for P, E in zip(res, conics)]
         entries.append(entry)
     out = {
         "claim": "cone-residual",
@@ -283,7 +300,7 @@ def run_main_claim(F: GF) -> dict:
         "conics_contained": len(got),
         "matches_construction": behs_exact,
         "exhaustive_cross_check": cross_ok,
-        "certificate": cert_b.to_json(),
+        "certificate": cert_b,
     }
     out["hermitian"] = {
         "cardinality": H.card,
@@ -327,7 +344,7 @@ def run_unital_claim(F: GF) -> dict:
             {
                 "kind": kind,
                 "cardinality": rep.cardinality,
-                "profile": {str(s): rep.profile[s] for s in sorted(rep.profile)},
+                "profile": rep.profile,
                 "tangents_ok": bool(ts and ts.ok),
                 "ok": good,
             }
@@ -355,64 +372,61 @@ def cmd_field(args) -> int:
 
 
 def _build_set(args, F: GF):
-    if getattr(args, "points", None):
+    """(kind, point set, construction conics or None): the set read from
+    --points is of kind "points", a built one of the kind --kind names."""
+    if args.points:
         data = json.load(sys.stdin) if args.points == "-" else json.load(open(args.points))
-        from .geom import PointSet
-
         plane = projective_plane(F)
         if not isinstance(data, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) and 0 <= i < plane.npoints for i in data
         ):
             raise UsageError(f"--points must be a JSON list of point indices in 0..{plane.npoints - 1}")
-        return PointSet.from_indices(plane, data), None
+        return "points", PointSet.from_indices(plane, data), None
     if args.kind == "hermitian":
-        return hermitian_unital(F), None
-    t = getattr(args, "t", None)
-    if t is not None:
-        F.require_element(t, "--t")
-    S, conics = behs_unital(F, t)
-    return S, conics
+        return "hermitian", hermitian_unital(F), None
+    if args.t is not None:
+        F.require_element(args.t, "--t")
+    return ("behs", *behs_unital(F, args.t))
 
 
 def cmd_build_unital(args) -> int:
     F = field_from_args(args, need_square=True)
-    S, conics = _build_set(args, F)
+    kind, S, conics = _build_set(args, F)
     report = {
         "field": F.describe(),
-        "kind": args.kind,
+        "kind": kind,
         "q": unital_q(F),
         "cardinality": S.card,
         "points": S.indices(),
     }
     if conics is not None:
-        report["conics"] = [list(C.coeffs) for C in conics]
+        report["conics"] = conics
     _emit(args, report)
     return 0
 
 
 def cmd_verify_unital(args) -> int:
     F = field_from_args(args, need_square=True)
-    S, _ = _build_set(args, F)
+    _, S, _ = _build_set(args, F)
     rep = is_unital(S)
-    report = {"field": F.describe()}
-    report.update(rep.to_json())
+    report = {"field": F.describe(), **_fields(rep)}
     if rep.is_unital:
-        report["tangent_structure"] = tangent_structure(S).to_json()
-    rows = [("size", "count")] + [(s, rep.profile[s]) for s in sorted(rep.profile)]
+        report["tangent_structure"] = tangent_structure(S)
+    rows = [("size", "count"), *rep.profile.items()]
     _emit(args, report, csv_rows=rows)
     return 0 if rep.is_unital else 1
 
 
 def cmd_enum_conics(args) -> int:
     F = field_from_args(args, need_square=True)
-    S, _ = _build_set(args, F)
+    kind, S, _ = _build_set(args, F)
     conics = analysis.conics_contained(S, method=args.method)
     report = {
         "field": F.describe(),
-        "kind": args.kind,
+        "kind": kind,
         "cardinality": S.card,
         "count": len(conics),
-        "conics": [list(C.coeffs) for C in conics],
+        "conics": conics,
     }
     _emit(args, report)
     return 0
@@ -429,9 +443,7 @@ def cmd_classify_pair(args) -> int:
             D = analysis.canonical_case_pair(F, args.case, F.require_element(args.k2, "--k2"))[1]
     else:
         raise UsageError("give --conic/--conic2 or --case with --k")
-    rep = analysis.classify_pair(C, D)
-    report = {"field": F.describe()}
-    report.update(rep.to_json())
+    report = {"field": F.describe(), **_fields(analysis.classify_pair(C, D))}
     _emit(args, report)
     return 0
 
@@ -460,21 +472,13 @@ def cmd_check(args) -> int:
         report = run_nucleus()
     else:
         F = field_from_args(args, need_square=claim in ("lemma1", "lemma2", "main"))
-        if claim == "theorem3":
-            report = run_theorem3(F, args.samples, args.seed)
-        elif claim == "lemma1":
-            report = run_lemma1(F)
-        elif claim == "lemma2":
-            report = run_lemma2(F)
-        elif claim == "afkl":
-            try:
-                report = run_afkl(F, args.samples if args.samples is not None else 0, args.seed)
-            except analysis.FieldTooSmall as exc:
-                raise UsageError(str(exc))
-        elif claim == "main":
-            report = run_main_claim(F)
-        else:
-            raise UsageError(f"unknown claim {claim}")
+        report = {
+            "theorem3": lambda: run_theorem3(F, args.samples, args.seed),
+            "lemma1": lambda: run_lemma1(F),
+            "lemma2": lambda: run_lemma2(F),
+            "afkl": lambda: run_afkl(F, args.samples, args.seed),
+            "main": lambda: run_main_claim(F),
+        }[claim]()
     rows = None
     if claim in ("lemma1", "lemma2"):
         rows = [("witness",)] + [(" ".join(str(x) for x in w),) for w in report["witnesses"]]

@@ -278,9 +278,6 @@ class Conic:
         A2 = matmul3(F, transpose3(Mi), matmul3(F, self.matrix(), Mi))
         return Conic(F, (A2[0][0], A2[1][1], A2[2][2], A2[0][1], A2[0][2], A2[1][2]))
 
-    def to_json(self):
-        return list(self.coeffs)
-
 
 def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) -> Conic:
     """Member with parameter k of one of the three canonical pencils:

@@ -7,7 +7,7 @@ boolean; the profile doubles as the two-intersection-set witness.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -67,22 +67,18 @@ def behs_unital(F: GF, t: int | None = None):
     return reduce(or_, (C.points() for C in conics)), conics
 
 
+def _profile(values) -> dict:
+    """Value -> multiplicity over an integer array, in increasing value order."""
+    return dict(sorted(Counter(values.tolist()).items()))
+
+
 @dataclass
 class UnitalReport:
     is_unital: bool
     q: int
     cardinality: int
     profile: dict
-    failures: list = dc_field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "is_unital": self.is_unital,
-            "q": self.q,
-            "cardinality": self.cardinality,
-            "profile": {str(k): self.profile[k] for k in sorted(self.profile)},
-            "failures": self.failures,
-        }
+    failures: list
 
 
 def is_unital(S: PointSet) -> UnitalReport:
@@ -91,7 +87,7 @@ def is_unital(S: PointSet) -> UnitalReport:
     plane = S.space
     q = unital_q(plane.field)
     sizes = line_counts(S)
-    profile = dict(Counter(sizes.tolist()))
+    profile = _profile(sizes)
     failures = np.flatnonzero((sizes != 1) & (sizes != q + 1)).tolist()
     ok = S.card == q**3 + 1 and not failures
     return UnitalReport(ok, q, S.card, profile, failures)
@@ -101,19 +97,9 @@ def is_unital(S: PointSet) -> UnitalReport:
 class TangentReport:
     ok: bool
     q: int
-    tangents_per_point: list
     on_profile: dict
     off_profile: dict
     violations: list
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "q": self.q,
-            "on_profile": {str(k): self.on_profile[k] for k in sorted(self.on_profile)},
-            "off_profile": {str(k): self.off_profile[k] for k in sorted(self.off_profile)},
-            "violations": self.violations,
-        }
 
 
 def tangent_structure(S: PointSet) -> TangentReport:
@@ -126,7 +112,7 @@ def tangent_structure(S: PointSet) -> TangentReport:
     q = report.q
     per_point = np.bincount(plane.lines[tangent_lines(S)].ravel(), minlength=plane.npoints)
     on = S.member
-    on_profile = dict(Counter(per_point[on].tolist()))
-    off_profile = dict(Counter(per_point[~on].tolist()))
+    on_profile = _profile(per_point[on])
+    off_profile = _profile(per_point[~on])
     violations = np.flatnonzero(np.where(on, per_point != 1, per_point != q + 1)).tolist()
-    return TangentReport(not violations, q, per_point.tolist(), on_profile, off_profile, violations)
+    return TangentReport(not violations, q, on_profile, off_profile, violations)

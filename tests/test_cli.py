@@ -1,14 +1,17 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import pathlib
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitals import cli
+from unitals import analysis, cli, veronese
 from unitals.cli import main
+from unitals.gf import field
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +64,17 @@ def test_verify_unital_from_points_file(tmp_path, capsys):
     assert not rep["is_unital"] and rep["failures"]
 
 
+def test_points_file_is_reported_as_kind_points(tmp_path, capsys):
+    # a set read from --points was not built, whatever --kind says
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(list(range(28))))
+    for command in ("build-unital", "enum-conics"):
+        code, rep = run_json(capsys, command, "--q", "3", "--kind", "hermitian", "--points", str(path))
+        assert code == 0 and rep["kind"] == "points"
+    code, rep = run_json(capsys, "build-unital", "--q", "3", "--kind", "hermitian")
+    assert code == 0 and rep["kind"] == "hermitian"
+
+
 def test_enum_conics(capsys):
     code, rep = run_json(capsys, "enum-conics", "--kind", "behs", "--q", "3")
     assert code == 0
@@ -109,6 +123,22 @@ def test_cone_residual_exact_at_order_49(capsys):
         assert pair["matches_closed_form"] and pair["residual_size"] == 48
 
 
+def test_cone_residual_case1_fails_at_order_5(capsys):
+    # k = -1 is admissible for case 1 exactly when -1 is a square and 2 is
+    # not, at orders = 5 mod 8; with beta = -1 the exceptional line then
+    # passes through z^2, a point of V.  Square orders are 1 mod 8, so the
+    # planes of the paper never admit k = -1.
+    code, rep = run_json(capsys, "cone-residual", "--p", "5", "--h", "1", "--case", "1")
+    assert code == 1
+    assert rep["ks"] == [4] and rep["pairs"][0]["matches_closed_form"]
+    assert rep["exceptional_lines_miss_surface"] is False
+    F = field(5, 1)
+    p1, pb = analysis.case1_exceptional_vpoints(F, 4, 4)
+    assert (p1, pb) == ((2, 2, 3, 0, 0, 0), (2, 2, 2, 0, 0, 0))
+    assert veronese.line_meets_veronese(F, p1, pb) == [(0, 0, 1, 0, 0, 0)]
+    assert not any(veronese.line_meets_veronese(F, *analysis.case1_exceptional_vpoints(F, 4, b)) for b in (2, 3))
+
+
 def test_check_lemma1(capsys):
     code, rep = run_json(capsys, "check", "--claim", "lemma1", "--q", "5")
     assert code == 0
@@ -143,11 +173,6 @@ def test_check_main_q3(capsys):
     assert rep["hermitian"]["conics_contained"] == 0
 
 
-def test_check_afkl_refused_below_bound(capsys):
-    code, _ = run_cli(capsys, "check", "--claim", "afkl", "--q", "3")
-    assert code == 2
-
-
 def test_usage_errors(capsys):
     code, _ = run_cli(capsys, "field", "--q", "6")  # not a prime power
     assert code == 2
@@ -176,6 +201,7 @@ def test_usage_errors(capsys):
         "check --claim afkl --q 5 --samples -5",
         "check --claim theorem3 --q 3 --samples -50",
         "report-all --q 3 --samples -1",
+        "check --claim afkl --q 3",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -196,6 +222,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert "odd characteristic" in captured.err
     if "--samples" in argv:
         assert "--samples must be at least 0" in captured.err
+    if argv == "check --claim afkl --q 3":
+        assert "orders >= 17" in captured.err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
@@ -208,6 +236,17 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("Traceback")
     assert captured.err.endswith("RuntimeError: broken on purpose\n")
+
+
+def test_only_cli_speaks_json():
+    # the library returns dataclasses; cli alone turns them into JSON
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 0}
+        defined = {n.name for n in nodes if isinstance(n, ast.FunctionDef)}
+        assert "to_json" not in defined, path.name
+        assert path.name == "cli.py" or "json" not in imported, path.name
 
 
 def test_parser_is_built_once():
@@ -412,6 +451,33 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
     # report-all runs the cone claim without the residual point lists; the
     # command itself prints them, so its stdout is pinned separately
     assert main(["cone-residual", "--q", "5", "--case", str(case)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("classify-pair --q 5 --case 1 --k 7 --k2 11", "500e70b8ee08a292a33b339a1ee5318e480603bac0b23172275b1ee8912bec20"),
+        ("verify-unital --q 3", "9b7e2e1267c1cb9622aa7d2c00b51ae479e8c52a0b2ba9e4c5b5b9fd5a1070d8"),
+        ("verify-unital --q 3 --format csv", "52844ac4bbf06ca2ea71d8919116db9f42215f15b91168c32574f26fca23fc41"),
+        ("verify-unital --q 3 --format text", "70cf07f4a7381119f538211fe12fbc3289247775267472f01849dcbfa71ad845"),
+        ("check --claim lemma1 --q 7", "6f620479731af6d5f00dcd322d51efcc6848684b870dbba5ed224f97cb5c17b0"),
+        ("check --claim lemma2 --q 5", "f6ce69efe1f7a130fb1e43d6b1381ddfa9fed6c349f044405062c377ebef8fad"),
+        ("check --claim lemma2 --q 5 --format csv", "2d03ffcf07b3118dfe2ca796d08f0e1653625ed0ca4d33267aa01f242e64578a"),
+        ("check --claim main --q 2", "62a8ededb86933f94907bd6b4ba3361621c0e8a333256558b87e8af40b2ab6db"),
+        ("check --claim main --q 4", "c0d273794c3c33e662e187622f09e80662281f5ff95e378c912d4eaa79017c5c"),
+        ("check --claim main --q 7 --format text", "40280f347d188b6b1b11bb436d23d38aaa9c535542a85495dd1c44f5119cfdbf"),
+        ("enum-conics --q 3", "e4bdbeb1972e454ed93a02c88f8dc76f198bb09594785b2a2aae41f3fb77f51d"),
+        ("build-unital --q 5 --t 13", "5334b9c050f8cff0729981c9f276fed3ed10d5cb74c29b6b786104507e6ce06a"),
+    ],
+)
+def test_report_shapes_are_byte_identical(capsys, argv, digest):
+    # every report shape outside report-all and cone-residual: the pencil
+    # report, the unital profile in all three formats, the difference-set
+    # tables, both certificates (the even-q one with its nucleus note), the
+    # conic list and the constructed unital
+    assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

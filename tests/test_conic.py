@@ -20,6 +20,7 @@ from unitals.conic import (
     rank1_rows,
     symmetric_rank_leq1,
 )
+from unitals.cli import _jsonable
 from unitals.geom import apply_collineation, projective_plane, projective_space
 from unitals.gf import field, nullspace
 
@@ -335,7 +336,7 @@ def test_coefficients_are_python_ints():
     # a lead coefficient of 1 keeps the coefficients as given, so each is
     # converted on the way in
     C = Conic(F, np.array([1, 0, 0, 0, 0, 0]))
-    assert json.dumps(C.to_json()) == "[1, 0, 0, 0, 0, 0]"
+    assert json.dumps(C, default=_jsonable) == "[1, 0, 0, 0, 0, 0]"
     assert all(type(c) is int for c in Conic(F, np.array([2, 0, 3, 0, 0, 1], dtype=np.uint8)).coeffs)
     for bad in [(True, 0, 0, 0, 0, 0), (1.5, 0, 0, 0, 0, 0), ("1", 0, 0, 0, 0, 0)]:
         with pytest.raises(ValueError, match=f"coefficient {bad[0]} is not a field element"):
