@@ -29,6 +29,10 @@ M(R) != 0 and lam = -M(R)^2/(L_P(R)*L_Q(R)).  So C_lam lies inside S with
 lowest point P exactly when n-1 points R > P of S hit lam, and each conic
 inside S is found once, from its lowest point and its point on the anchor
 secant.
+
+Neither the identity nor the anchor argument divides by 2, so the search
+runs in every characteristic.  Two things differ in characteristic 2: the
+coefficient of x_i*x_j (i != j) is not halved, and log -1 is 0.
 """
 
 import enum
@@ -305,7 +309,7 @@ def _conics_contained_pencils(S: PointSet, tangents):
         return []
     zero = 3 * g - 2
     lookup = np.full(zero + 2 * g - 1, g, dtype=np.int16)
-    lookup[:zero] = (np.arange(zero) + g // 2) % g
+    lookup[:zero] = (np.arange(zero) + F.log_table[F.neg(1)]) % g
     log_inv = (-F.log_table % g).astype(np.int16)
     log_sq = (2 * F.log_table % g).astype(np.int16)
     log_sq[0] = zero
@@ -332,13 +336,14 @@ def _conics_contained_pencils(S: PointSet, tangents):
 def _pencil_member(F: GF, m, lp, lq, lam):
     """(k, 6) coefficient rows (a11,a22,a33,a12,a13,a23) of the conics
     M^2 + lam*L_P*L_Q, one per row of m, lp, lq and entry of lam: the
-    symmetric matrix m m^T + lam/2 (lp lq^T + lq lp^T)."""
+    coefficient of x_i*x_j, halved off the diagonal when p is odd."""
     mul, add = F.mul_table, F.add_table
-    half = F.inv(F.add(1, 1))
-    out = []
-    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+    half = F.inv(F.add(1, 1)) if F.p != 2 else 1
+    out = [add[mul[m[:, i], m[:, i]], mul[lam, mul[lp[..., i], lq[..., i]]]] for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        mm = mul[m[:, i], m[:, j]]
         mixed = add[mul[lp[..., i], lq[..., j]], mul[lp[..., j], lq[..., i]]]
-        out.append(add[mul[m[:, i], m[:, j]], mul[lam, mul[half, mixed]]])
+        out.append(mul[half, add[add[mm, mm], mul[lam, mixed]]])
     return np.stack(out, axis=1)
 
 
@@ -346,15 +351,12 @@ def conics_contained(S: PointSet, method: str = "auto"):
     """Every irreducible conic whose point set lies inside S, each exactly
     once, in canonical order.
 
-    "pencil" uses the bitangent-pencil search (needs a unique tangent line
-    at every point of S, as in a unital or a single conic);
-    "exhaustive" sweeps all coefficient tuples and is the oracle for
-    plane order <= 25.
+    "pencil" uses the bitangent-pencil search, in any characteristic
+    (needs a unique tangent line at every point of S, as in a unital or a
+    single conic); "exhaustive" sweeps all coefficient tuples and is the
+    oracle for plane order <= 25.
     """
-    plane = S.space
-    F = plane.field
-    if F.p == 2:
-        raise EvenCharacteristicUnsupported("conic enumeration uses the rank form")
+    F = S.space.field
     if method == "auto":
         tangents = _unique_tangents(S)
         if tangents is not None:
@@ -414,6 +416,8 @@ def _max_cliques(vertices, adjacent):
 def lemma1_search(F: GF) -> DiffSetReport:
     """Largest subsets of the nonzero squares whose pairwise differences are
     all non-squares, by exact clique search."""
+    if F.p == 2:
+        raise EvenCharacteristicUnsupported("the difference-set lemmas concern odd q")
     verts = F.squares()
 
     def adjacent(a, b):
@@ -433,6 +437,8 @@ def lemma2_search(F: GF) -> DiffSetReport:
     q = _isqrt_exact(F.order)
     if q is None:
         raise ValueError("lemma2 search needs a square plane order")
+    if F.p == 2:
+        raise EvenCharacteristicUnsupported("the difference-set lemmas concern odd q")
     verts = [0] + F.nonsquares()
 
     def adjacent(a, b):
@@ -590,12 +596,12 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     """Certificate that a unital is, or is not, a union of conics of the
     hyperosculating (BEHS) kind.
 
-    For odd q: enumerate the conics inside S, check they cover S, pairwise
-    classify them (all hyperosculating through one base point with a common
-    tangent), and test that the pencil parameters form a coset t*GF(q) whose
-    nonzero members all have non-square character after the determinant
-    normalisation.  For even q: no irreducible conic can be contained at
-    all, since its nucleus would collect q^2+1 tangent lines.
+    Enumerate the conics inside S, check they cover S, pairwise classify
+    them (all hyperosculating through one base point with a common
+    tangent), and test that the pencil parameters form a coset t*GF(q)
+    whose nonzero members all have non-square character after the
+    determinant normalisation.  For even q the search finds no conic, as it
+    must: a contained conic's nucleus would collect q^2+1 tangent lines.
     """
     report = is_unital(S)
     if not report.is_unital:
@@ -603,26 +609,19 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     plane = S.space
     F = plane.field
     q = report.q
-    notes = []
-    if F.p == 2:
-        # Conic.is_irreducible tests for an oval in even characteristic
-        conics = _conics_contained_exhaustive(S)
-        covered = bool(conics) and reduce(or_, (C.points() for C in conics)) == S
-        if not conics:
-            notes.append(
-                "no irreducible conic lies in the unital; a contained conic would "
-                f"put q^2+1 = {q*q+1} tangents through its nucleus, but at most q+1 = {q+1} "
-                "tangents meet in any point"
-            )
-        return UnionCertificate(q, False, covered, None, conics, notes=notes)
-
+    odd = F.p != 2
     conics = conics_contained(S)
     if not conics:
-        return UnionCertificate(q, True, False, None, [], notes=["no conics contained in the unital"])
+        note = "no conics contained in the unital" if odd else (
+            "no irreducible conic lies in the unital; a contained conic would "
+            f"put q^2+1 = {q*q+1} tangents through its nucleus, but at most q+1 = {q+1} "
+            "tangents meet in any point"
+        )
+        return UnionCertificate(q, odd, False, None, [], notes=[note])
     uncovered = (S - reduce(or_, (C.points() for C in conics))).indices()
     covered = not uncovered
     if not covered:
-        return UnionCertificate(q, True, False, None, conics, uncovered=uncovered)
+        return UnionCertificate(q, odd, False, None, conics, uncovered=uncovered)
 
     pair_types = []
     base_idx = None
@@ -641,14 +640,14 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
                 structure_ok = False
     if not structure_ok or base_idx is None:
         return UnionCertificate(
-            q, True, covered, None, conics, pair_types=pair_types,
+            q, odd, covered, None, conics, pair_types=pair_types,
             notes=["pairwise structure is not a hyperosculating family with one base point"],
         )
     base = plane.point(base_idx)
     tangent = conics[0].tangent_at(base)
     if any(C.tangent_at(base) != tangent for C in conics[1:]):
         return UnionCertificate(
-            q, True, covered, None, conics, base_point=base, pair_types=pair_types,
+            q, odd, covered, None, conics, base_point=base, pair_types=pair_types,
             notes=["contained conics do not share the tangent at the base point"],
         )
     tangent_sq = veronese_point(F, *tangent)
@@ -658,7 +657,7 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
         a = _pencil_parameter(F, base_conic.coeffs, tangent_sq, C)
         if a is None:
             return UnionCertificate(
-                q, True, covered, None, conics, base_point=base, tangent=tangent,
+                q, odd, covered, None, conics, base_point=base, tangent=tangent,
                 pair_types=pair_types, notes=["contained conics do not lie in one pencil"],
             )
         params.append(a)
@@ -680,7 +679,7 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     signature = "BEHS" if (coset_ok and chars_ok) else None
     return UnionCertificate(
         q,
-        True,
+        odd,
         covered,
         signature,
         conics,

@@ -177,10 +177,12 @@ def test_criterion_7_main_theorem_desk_scale():
     ok &= conics_contained(hermitian_unital(F25), method="pencil") == []
     ok &= certify_union_of_conics(U5).signature == "BEHS"
     ok &= not certify_union_of_conics(hermitian_unital(F25)).covered
-    # q in {2,4}: the nucleus obstruction, verified exhaustively
+    # q in {2,4}: the nucleus obstruction; the certificate's pencil search
+    # against the exhaustive oracle
     for p, h in ((2, 2), (2, 4)):
-        cert = certify_union_of_conics(hermitian_unital(field(p, h)))
-        ok &= cert.conics == [] and not cert.covered
+        H = hermitian_unital(field(p, h))
+        cert = certify_union_of_conics(H)
+        ok &= cert.conics == conics_contained(H, method="exhaustive") == [] and not cert.covered
     dt = report(7, ok, t0, "union-of-conics certificates: behs q in {3,5} signature BEHS, hermitian empty, even q nucleus obstruction")
     assert ok and dt < 1200.0
 

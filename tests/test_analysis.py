@@ -27,6 +27,7 @@ from unitals.analysis import (
     _transform_points,
     _unique_tangents,
 )
+from unitals.cli import _prime_power
 from unitals.conic import Conic, PencilKind, SingularConic, _monomials, canonical_pencil
 from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field, nullspace
@@ -245,6 +246,13 @@ def test_conics_contained_hermitian_q3_empty():
     assert conics_contained(U, method="exhaustive") == []
 
 
+@pytest.mark.parametrize("h", [2, 4])
+def test_pencil_search_matches_exhaustive_on_even_hermitian(h):
+    # plane orders 4 and 16: no conic, by the nucleus argument
+    U = hermitian_unital(field(2, h))
+    assert conics_contained(U, method="pencil") == conics_contained(U, method="exhaustive") == []
+
+
 def test_conics_contained_single_conic():
     F = field(3, 2)
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
@@ -317,14 +325,16 @@ def test_pencil_search_matches_exhaustive_n9():
     assert counts == [3, 3, 3, 3, 0] + [3] * 8 + [0] * 2
 
 
-@pytest.mark.parametrize("p,h,count", [(3, 2, 6), (5, 2, 4), (7, 2, 3), (3, 4, 2)])
+@pytest.mark.parametrize(
+    "p,h,count", [(3, 2, 6), (5, 2, 4), (7, 2, 3), (3, 4, 2), (2, 2, 6), (2, 3, 6), (2, 4, 6)]
+)
 def test_pencil_search_finds_single_random_conic(p, h, count):
     F = field(p, h)
     rng = random.Random(p * 100 + h)
     found = 0
     while found < count:
         C = Conic(F, [rng.randrange(F.order) for _ in range(6)])
-        if C.rank() != 3:
+        if not C.is_irreducible:
             continue
         assert conics_contained(C.points(), method="pencil") == [C]
         found += 1
@@ -427,11 +437,14 @@ def test_pencil_search_chunks_do_not_change_output(monkeypatch):
     assert [len(c) for c in expected] == [5, 0, 5]
 
 
-@pytest.mark.parametrize("q,behs,herm", [(5, 92, 116), (7, 346, 347)])
+@pytest.mark.parametrize("q,behs,herm", [(5, 92, 116), (7, 346, 347), (4, None, 44), (8, None, 764)])
 def test_anchor_pairs_complexity_guard(q, behs, herm):
-    # the search reads one row per anchor pair: about 2|S|, at most q|S|
-    F = field(q, 2)
-    for S, count in ((behs_unital(F)[0], behs), (hermitian_unital(F), herm)):
+    # the search reads one row per anchor pair: about 2|S|, at most q|S|;
+    # BEHS unitals exist for odd q only
+    p, e = _prime_power(q)
+    F = field(p, 2 * e)
+    sets = [(hermitian_unital(F), herm)] + ([(behs_unital(F)[0], behs)] if q % 2 else [])
+    for S, count in sets:
         assert len(_anchor_pairs(S)[0]) == count <= q * S.card
 
 
@@ -507,7 +520,7 @@ def test_certify_hermitian():
 
 
 def test_certify_even_q():
-    for p, h, q in ((2, 2, 2), (2, 4, 4)):
+    for p, h, q in ((2, 2, 2), (2, 4, 4), (2, 6, 8)):
         F = field(p, h)
         cert = certify_union_of_conics(hermitian_unital(F))
         assert not cert.q_odd and not cert.covered and cert.conics == []

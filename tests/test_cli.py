@@ -202,6 +202,9 @@ def test_usage_errors(capsys):
         "check --claim theorem3 --q 3 --samples -50",
         "report-all --q 3 --samples -1",
         "check --claim afkl --q 3",
+        "check --claim lemma1 --q 4",
+        "check --claim lemma2 --q 2",
+        "check --claim lemma2 --q 4",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -224,6 +227,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert "--samples must be at least 0" in captured.err
     if argv == "check --claim afkl --q 3":
         assert "orders >= 17" in captured.err
+    if "lemma" in argv:
+        assert "concern odd q" in captured.err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
@@ -412,6 +417,16 @@ def test_report_all_text_and_exit(capsys):
     assert any(line.startswith("SKIP") and "afkl" in line for line in lines)
 
 
+@pytest.mark.parametrize("q", ["2", "4", "8"])
+def test_report_all_even_q(capsys, q):
+    # the conic claims run in every characteristic; the odd-q claims are skipped
+    code, rep = run_json(capsys, "report-all", "--q", q)
+    assert code == 0
+    status = {(c["claim"], c.get("case")): c["ok"] for c in rep["claims"]}
+    assert [k for k, ok in status.items() if ok] == [("unital", None), ("main", None), ("nucleus", None)]
+    assert rep["summary"] == {"total": 10, "verified": 3, "violated": 0, "skipped": 7}
+
+
 def test_report_all_deterministic(capsys):
     code1, out1 = run_cli(capsys, "report-all", "--q", "3", "--seed", "7")
     code2, out2 = run_cli(capsys, "report-all", "--q", "3", "--seed", "7")
@@ -465,8 +480,9 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
         ("check --claim lemma1 --q 7", "6f620479731af6d5f00dcd322d51efcc6848684b870dbba5ed224f97cb5c17b0"),
         ("check --claim lemma2 --q 5", "f6ce69efe1f7a130fb1e43d6b1381ddfa9fed6c349f044405062c377ebef8fad"),
         ("check --claim lemma2 --q 5 --format csv", "2d03ffcf07b3118dfe2ca796d08f0e1653625ed0ca4d33267aa01f242e64578a"),
-        ("check --claim main --q 2", "62a8ededb86933f94907bd6b4ba3361621c0e8a333256558b87e8af40b2ab6db"),
-        ("check --claim main --q 4", "c0d273794c3c33e662e187622f09e80662281f5ff95e378c912d4eaa79017c5c"),
+        ("check --claim main --q 2", "719ddbcafd729f37f6b700b0702f6adb162d50fdd47afb89342172df5f7bc1bc"),
+        ("check --claim main --q 4", "e5bb62ec850b0a84a4c7361407a1341bcd5292adc01b7b0dfa678f045bf1a7af"),
+        ("check --claim main --q 8", "9d7fcd4286e08a810bb1d6a0e16f172b3a5621d6142971be4d69f4b6442bc472"),
         ("check --claim main --q 7 --format text", "40280f347d188b6b1b11bb436d23d38aaa9c535542a85495dd1c44f5119cfdbf"),
         ("enum-conics --q 3", "e4bdbeb1972e454ed93a02c88f8dc76f198bb09594785b2a2aae41f3fb77f51d"),
         ("build-unital --q 5 --t 13", "5334b9c050f8cff0729981c9f276fed3ed10d5cb74c29b6b786104507e6ce06a"),
@@ -475,7 +491,7 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
 def test_report_shapes_are_byte_identical(capsys, argv, digest):
     # every report shape outside report-all and cone-residual: the pencil
     # report, the unital profile in all three formats, the difference-set
-    # tables, both certificates (the even-q one with its nucleus note), the
+    # tables, the main claim at even q (Hermitian only) and at odd q, the
     # conic list and the constructed unital
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
