@@ -248,22 +248,24 @@ def _conics_contained_exhaustive(S: PointSet):
     keep the irreducible ones whose zero set lies inside S."""
     plane = S.space
     F = plane.field
-    space5 = projective_space(F, 5)
     mon = _monomials(plane)
-    # one row per coefficient, so that each column eval_many reads from the
-    # gathered candidates is contiguous (a 2-D row gather is much slower)
-    by_coeff = np.ascontiguousarray(space5.coords_array().T)
-    alive = np.arange(space5.npoints, dtype=np.int64)
+    # the coefficient tuples still alive, in canonical order, one contiguous
+    # row per coefficient: first the coordinate array itself (stored so),
+    # then the front of one buffer, into which each pass moves its survivors
+    alive = projective_space(F, 5).coords_array().T
+    buf = None
     for ci in S.complement().indices():
-        alive = alive[eval_many(F, mon[ci], by_coeff.take(alive, axis=1).T) != 0]
-        if len(alive) == 0:
+        keep = eval_many(F, mon[ci], alive.T) != 0
+        k = np.count_nonzero(keep)
+        if buf is None:
+            buf = np.empty((6, k), dtype=alive.dtype)
+        # row by row: a 2-D compress would index through an int64 array
+        for row, out in zip(alive, buf):
+            out[:k] = row[keep]
+        alive = buf[:, :k]
+        if k == 0:
             return []
-    out = []
-    for i in alive:
-        C = Conic(F, space5.point(int(i)))
-        if C.is_irreducible:
-            out.append(C)
-    return out
+    return [C for C in (Conic(F, c) for c in alive.T.tolist()) if C.is_irreducible]
 
 
 def _anchor_pairs(S: PointSet):

@@ -132,6 +132,11 @@ def _is_flat(v):
 def run_theorem3(F: GF, samples: int, seed: int) -> dict:
     """Point classifier against the tangent-counting oracle, plus the
     external/internal census n(n+1)/2 and n(n-1)/2."""
+    if F.p == 2:
+        raise EvenCharacteristicUnsupported(
+            "theorem3's external/internal point classification is stated for odd q; "
+            f"GF({F.order}) has characteristic 2"
+        )
     plane = projective_plane(F)
     n = F.order
     conics = [

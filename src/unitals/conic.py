@@ -107,26 +107,31 @@ def quadratic_rows(F: GF, pts):
 
 @lru_cache(maxsize=None)
 def _monomials(plane):
-    """(npoints, 6) int64 array of monomial values per point: the Veronese
-    map with the cross columns doubled in odd characteristic, so that a
-    conic evaluates as ``eval_many`` with its coefficient tuple."""
+    """(npoints, 6) array, in the field's dtype, of monomial values per
+    point: the Veronese map with the cross columns doubled in odd
+    characteristic, so that a conic evaluates as ``eval_many`` with its
+    coefficient tuple."""
     F = plane.field
-    mon = quadratic_rows(F, plane.coords_array()).astype(np.int64)
+    mon = quadratic_rows(F, plane.coords_array())
     if F.p != 2:
-        mon[:, 3:] = F.mul_table[F.add(1, 1), mon[:, 3:]]
+        mon[:, 3:] = F.mul_table[F.add(1, 1)][mon[:, 3:]]
     return mon
 
 
 def eval_many(F: GF, coeffs, rows):
-    """int64 array of the sums coeffs[0]*r[0] + ... + coeffs[5]*r[5] over F,
-    one per row r of the (m, 6) array ``rows``.  With a conic's coefficients
-    and monomial rows these are the form's values; the pairing is symmetric,
-    so one point's monomials against coefficient rows works too."""
-    mul, add = F.mul_table, F.add_table
-    acc = mul[coeffs[0], rows[:, 0]].astype(np.int64)
+    """Array, in the field's dtype, of the sums coeffs[0]*r[0] + ... +
+    coeffs[5]*r[5] over F, one per row r of the (m, 6) array ``rows``.
+    With a conic's coefficients and monomial rows these are the form's
+    values; the pairing is symmetric, so one point's monomials against
+    coefficient rows works too.  Each product gathers from one row of the
+    multiplication table, each sum from the flat addition table."""
+    m = F.order
+    mul, add = F.mul_table, F.add_table.ravel()
+    wide = np.uint16 if m <= 256 else np.uint32
+    acc = mul[coeffs[0]][rows[:, 0]]
     for j in range(1, 6):
         if coeffs[j]:
-            acc = add[acc, mul[coeffs[j], rows[:, j]].astype(np.int64)].astype(np.int64)
+            acc = add[acc.astype(wide) * m + mul[coeffs[j]][rows[:, j]]]
     return acc
 
 

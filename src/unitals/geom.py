@@ -107,7 +107,8 @@ class ProjectiveSpace:
         return [self._point(i) for i in range(self.npoints)]
 
     def coords_array(self):
-        """(npoints, dim+1) numpy array of all normalised points, cached."""
+        """(npoints, dim+1) numpy array of all normalised points, cached; its
+        transpose is C-contiguous, one row per coordinate."""
         if self._coords_array is None:
             self._coords_array = point_array(self.field.order, self.dim)
         return self._coords_array
@@ -197,7 +198,9 @@ def span(F: GF, P, Q):
     pairs gives a batch of lines."""
     m = F.order
     dt = F.add_table.dtype
-    P, Q = np.asarray(P, dtype=dt), np.asarray(Q, dtype=dt)
+    # C order: a slice of a coordinate-major array would make every
+    # temporary below strided
+    P, Q = np.ascontiguousarray(P, dtype=dt), np.ascontiguousarray(Q, dtype=dt)
     shape = np.broadcast_shapes(P.shape, Q.shape)
     out = np.empty(shape[:-1] + (m + 1, shape[-1]), dtype=dt)
     out[..., 0, :] = Q
@@ -210,19 +213,31 @@ def span(F: GF, P, Q):
 
 def point_array(m: int, d: int):
     """(npoints, d+1) array of the normalised points of PG(d,m) in canonical
-    order, written block by block through broadcast views."""
+    order: the transpose of a coordinate-major (d+1, npoints) array, so that
+    each coordinate is one contiguous row.
+
+    The points whose leading one sits at position i form the block at
+    offset (m^(d-i) - 1)/(m - 1), which counts the later coordinates in
+    base m; the blocks come in decreasing i.  So row t is 0 on the blocks
+    of i > t, 1 on the block of i = t, and after it one periodic run:
+    each digit m^(d-t) times, period m^(d-t+1), which divides the size of
+    every later block.  The first period is written and then copied over
+    the rest of the row, doubling the written part each time."""
     dt = np.uint8 if m <= 256 else np.uint16
-    out = np.zeros(((m ** (d + 1) - 1) // (m - 1), d + 1), dtype=dt)
-    digits = np.arange(m, dtype=dt)
-    for i in range(d + 1):
-        # points whose leading one sits at position i; the block starts at
-        # offset (m^(d-i) - 1)/(m - 1) and counts the later coordinates in base m
-        start = (m ** (d - i) - 1) // (m - 1)
-        block = out[start : start + m ** (d - i)]
-        block[:, i] = 1
-        for t in range(i + 1, d + 1):
-            block.reshape(m ** (t - i - 1), m, m ** (d - t), d + 1)[:, :, :, t] = digits[None, :, None]
-    return out
+    out = np.empty((d + 1, (m ** (d + 1) - 1) // (m - 1)), dtype=dt)
+    for t, row in enumerate(out):
+        start, run = (m ** (d - t) - 1) // (m - 1), m ** (d - t)
+        row[:start] = 0
+        row[start : start + run] = 1
+        tail = row[start + run :]
+        if len(tail):
+            tail[: run * m].reshape(m, run)[:] = np.arange(m, dtype=dt)[:, None]
+            done = run * m
+            while done < len(tail):
+                k = min(done, len(tail) - done)
+                tail[done : done + k] = tail[:k]
+                done += k
+    return out.T
 
 
 @lru_cache(maxsize=None)

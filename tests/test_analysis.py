@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -251,6 +252,26 @@ def test_pencil_search_matches_exhaustive_on_even_hermitian(h):
     # plane orders 4 and 16: no conic, by the nucleus argument
     U = hermitian_unital(field(2, h))
     assert conics_contained(U, method="pencil") == conics_contained(U, method="exhaustive") == []
+
+
+def test_exhaustive_sweep_reads_the_coordinate_array_in_place():
+    # the sweep of PG(5,16) against the Hermitian unital at q=4 peaked at
+    # 41,389,974 bytes while it kept a transposed copy of the 6,710,886-byte
+    # coordinate array; without the copy it must stay below the difference.
+    # It now peaks near 1.9 arrays (the survivors' buffer and the
+    # temporaries of one pass), and any copy of the array would add one more
+    U = hermitian_unital(field(2, 4))
+    coords = projective_space(U.space.field, 5).coords_array()
+    _monomials(U.space)
+    tracemalloc.start()
+    try:
+        found = analysis._conics_contained_exhaustive(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [] and coords.nbytes == 6_710_886
+    assert peak <= 41_389_974 - 6_710_886
+    assert peak <= 2.4 * coords.nbytes
 
 
 def test_conics_contained_single_conic():

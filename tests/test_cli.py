@@ -158,6 +158,20 @@ def test_check_theorem3(capsys):
     assert rep["ok"] and rep["conics_checked"] == 23
 
 
+@pytest.mark.parametrize("q", ["2", "4"])
+def test_theorem3_refuses_even_q_for_its_own_reason(capsys, q):
+    # the classifier is defined through quadratic characters, so the claim
+    # says why it is not stated, not that canonical pencils need factor 2
+    reason = "external/internal point classification is stated for odd q"
+    assert main(["check", "--claim", "theorem3", "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err and "factor-2" not in captured.err
+    code, rep = run_json(capsys, "report-all", "--q", q)
+    assert code == 0
+    (entry,) = [c for c in rep["claims"] if c["claim"] == "theorem3"]
+    assert entry["ok"] is None and reason in entry["skipped"]
+
+
 def test_check_nucleus(capsys):
     code, rep = run_json(capsys, "check", "--claim", "nucleus")
     assert code == 0

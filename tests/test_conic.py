@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals.conic import (
     AlphaIsSquare,
@@ -64,6 +65,32 @@ def test_vector_kernel_matches_scalar_evaluate(p, h):
             continue
         C = Conic(F, coeffs)
         assert eval_many(F, C.coeffs, mon).tolist() == [C.evaluate(P) for P in plane.points()]
+
+
+# both characteristics, up to order 256 and at 289, where the flat-table
+# index moves from uint16 to uint32
+_EVAL_FIELDS = [field(p, h) for p, h in ((2, 1), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2), (2, 8), (17, 2))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(_EVAL_FIELDS), st.data())
+def test_eval_many_matches_scalar_sums(F, data):
+    element = st.integers(0, F.order - 1)
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), element), min_size=6, max_size=6))
+    rows = data.draw(st.lists(st.lists(element, min_size=6, max_size=6), min_size=1, max_size=20))
+    arr = np.array(rows, dtype=F.mul_table.dtype)
+    if data.draw(st.booleans()):
+        # the layout the exhaustive sweep passes: one contiguous row per coefficient
+        arr = np.ascontiguousarray(arr.T).T
+    want = []
+    for r in rows:
+        acc = 0
+        for c, x in zip(coeffs, r):
+            acc = F.add(acc, F.mul(c, x))
+        want.append(acc)
+    got = eval_many(F, coeffs, arr)
+    assert got.dtype == F.mul_table.dtype
+    assert got.tolist() == want
 
 
 def test_normalisation_and_equality():

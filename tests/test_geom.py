@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals import geom
 from unitals.gf import field
@@ -18,6 +19,7 @@ from unitals.geom import (
     inv3,
     line_counts,
     matmul3,
+    point_array,
     projective_plane,
     projective_space,
     span,
@@ -269,3 +271,44 @@ def test_line_table_build_peaks_near_the_table_size():
         tracemalloc.stop()
     assert plane.lines.nbytes == 14763 * 122 * 4
     assert peak <= 2 * plane.lines.nbytes
+
+
+# PG(5,n) at orders 2 to 25, and the planes on either side of the move of
+# the coordinate dtype from uint8 to uint16
+_ROUND_TRIP_SPACES = [((2, 1), 5), ((3, 1), 5), ((2, 2), 5), ((2, 3), 5), ((3, 2), 5), ((2, 4), 5), ((5, 2), 5),
+                      ((2, 8), 2), ((257, 1), 2)]
+
+
+@pytest.fixture(scope="module")
+def round_trip_spaces():
+    # built here rather than through the memoised constructors, so that the
+    # two large planes are freed with this module
+    return {key: ProjectiveSpace(field(*key[0]), key[1]) for key in _ROUND_TRIP_SPACES}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(_ROUND_TRIP_SPACES), st.data())
+def test_coordinates_indices_and_rows_round_trip(round_trip_spaces, key, data):
+    space = round_trip_spaces[key]
+    F = space.field
+    coords = space.coords_array()
+    assert coords.dtype == (np.uint8 if F.order <= 256 else np.uint16)
+    i = data.draw(st.integers(0, space.npoints - 1))
+    P = tuple(int(x) for x in coords[i])
+    assert P == space.point(i) == space._point(i)
+    assert space.index(space.point(i)) == i
+    lam = data.draw(st.integers(1, F.order - 1))
+    assert space.index_rows(F.mul_table[lam, coords[i]][None]).tolist() == [i]
+
+
+def test_point_array_peaks_at_its_own_size():
+    # each coordinate row is written in place: PG(5,16), a 6.7 MB array,
+    # allocates almost nothing besides it
+    tracemalloc.start()
+    try:
+        arr = point_array(16, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.nbytes == 1118481 * 6
+    assert peak <= 1.1 * arr.nbytes
