@@ -127,7 +127,7 @@ def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: Poin
 # -- canonical pencil cases -----------------------------------------------------
 
 
-def admissible_ks(F: GF, case: int, alpha: int | None = None):
+def admissible_ks(F: GF, case: int):
     """Parameters k for which the canonical pair of the given case satisfies
     the internal-points hypothesis in both directions.
 
@@ -150,24 +150,20 @@ def admissible_ks(F: GF, case: int, alpha: int | None = None):
     raise ValueError(f"unknown case {case}")
 
 
-def canonical_case_pair(F: GF, case: int, k: int, alpha: int | None = None):
+def canonical_case_pair(F: GF, case: int, k: int):
     """The canonical conic pair of a case: (2xy=z^2, 2xy=kz^2) or
-    (x^2-ay^2=z^2, x^2-ay^2=kz^2) or (2yz=x^2, 2yz=x^2+kz^2)."""
-    if case == 1:
-        return canonical_pencil(F, PencilKind.HYPERBOLIC, 1), canonical_pencil(F, PencilKind.HYPERBOLIC, k)
-    if case == 2:
-        return (
-            canonical_pencil(F, PencilKind.ELLIPTIC, 1, alpha),
-            canonical_pencil(F, PencilKind.ELLIPTIC, k, alpha),
-        )
-    if case == 3:
-        return canonical_pencil(F, PencilKind.PARABOLIC, 0), canonical_pencil(F, PencilKind.PARABOLIC, k)
-    raise ValueError(f"unknown case {case}")
+    (x^2-ay^2=z^2, x^2-ay^2=kz^2), a the least non-square, or
+    (2yz=x^2, 2yz=x^2+kz^2)."""
+    if case not in (1, 2, 3):
+        raise ValueError(f"unknown case {case}")
+    kind, k0 = {1: (PencilKind.HYPERBOLIC, 1), 2: (PencilKind.ELLIPTIC, 1), 3: (PencilKind.PARABOLIC, 0)}[case]
+    return canonical_pencil(F, kind, k0), canonical_pencil(F, kind, k)
 
 
-def case_residual_formula(F: GF, case: int, k: int, alpha: int | None = None):
+def case_residual_formula(F: GF, case: int, k: int):
     """Closed-form list of the cone-intersection residual of a case pair,
-    in canonical index order.  Case 3 has an empty residual."""
+    in canonical index order (alpha, in case 2, is the least non-square).
+    Case 3 has an empty residual."""
     mul, add = F.mul_table, F.add_table
     b = np.arange(1, F.order)
     b2 = mul[b, b]
@@ -179,8 +175,7 @@ def case_residual_formula(F: GF, case: int, k: int, alpha: int | None = None):
         rows[:, 2] = mul[F.add(k, k), b]
         rows[:, 3] = mul[F.neg(F.add(k, 1)), b]
     elif case == 2:
-        if alpha is None:
-            alpha = min(F.nonsquares())
+        alpha = min(F.nonsquares())
         rows[:, 0] = add[alpha, mul[F.neg(k), b2]]
         rows[:, 1] = mul[alpha, add[b2, F.neg(F.mul(alpha, k))]]
         rows[:, 2] = mul[k, add[b2, F.neg(alpha)]]
@@ -358,22 +353,16 @@ def conics_contained(S: PointSet, method: str = "auto"):
     single conic); "exhaustive" sweeps all coefficient tuples and is the
     oracle for plane order <= 25.
     """
-    F = S.space.field
-    if method == "auto":
-        tangents = _unique_tangents(S)
-        if tangents is not None:
-            return _conics_contained_pencils(S, tangents)
-        if F.order <= 25:
-            return _conics_contained_exhaustive(S)
-        raise ValueError("no unique tangents and plane too large for the exhaustive sweep")
-    if method == "exhaustive":
-        return _conics_contained_exhaustive(S)
-    if method == "pencil":
-        tangents = _unique_tangents(S)
-        if tangents is None:
-            raise ValueError("some point of S has no unique tangent line")
+    if method not in ("auto", "pencil", "exhaustive"):
+        raise ValueError(f"unknown method {method!r}")
+    tangents = None if method == "exhaustive" else _unique_tangents(S)
+    if tangents is not None:
         return _conics_contained_pencils(S, tangents)
-    raise ValueError(f"unknown method {method!r}")
+    if method == "pencil":
+        raise ValueError("some point of S has no unique tangent line")
+    if method == "auto" and S.space.field.order > 25:
+        raise ValueError("no unique tangents and plane too large for the exhaustive sweep")
+    return _conics_contained_exhaustive(S)
 
 
 # -- difference-set searches -----------------------------------------------------
@@ -388,8 +377,10 @@ class DiffSetReport:
     zero_convention: str | None = None
 
 
-def _max_cliques(vertices, adjacent):
-    """All maximum cliques of a graph, by ordered branch-and-bound."""
+def _max_cliques(F: GF, vertices):
+    """All maximum cliques, by ordered branch-and-bound, of the graph on the
+    given field elements that joins two when their difference is a
+    non-square."""
     vertices = sorted(vertices)
     best: list = []
     found: list = []
@@ -406,7 +397,7 @@ def _max_cliques(vertices, adjacent):
                 found.append(tuple(clique))
             return
         for i, v in enumerate(cands):
-            rest = [w for w in cands[i + 1 :] if adjacent(v, w)]
+            rest = [w for w in cands[i + 1 :] if not F.is_square(F.sub(v, w))]
             if len(clique) + 1 + len(rest) < len(best):
                 continue
             extend(clique + [v], rest)
@@ -420,12 +411,7 @@ def lemma1_search(F: GF) -> DiffSetReport:
     all non-squares, by exact clique search."""
     if F.p == 2:
         raise EvenCharacteristicUnsupported("the difference-set lemmas concern odd q")
-    verts = F.squares()
-
-    def adjacent(a, b):
-        return not F.is_square(F.sub(a, b))
-
-    size, witnesses = _max_cliques(verts, adjacent)
+    size, witnesses = _max_cliques(F, F.squares())
     return DiffSetReport("nonzero_squares", size, witnesses)
 
 
@@ -441,12 +427,7 @@ def lemma2_search(F: GF) -> DiffSetReport:
         raise ValueError("lemma2 search needs a square plane order")
     if F.p == 2:
         raise EvenCharacteristicUnsupported("the difference-set lemmas concern odd q")
-    verts = [0] + F.nonsquares()
-
-    def adjacent(a, b):
-        return not F.is_square(F.sub(a, b))
-
-    size, witnesses = _max_cliques(verts, adjacent)
+    size, witnesses = _max_cliques(F, [0] + F.nonsquares())
     subfield = F.subfield_elements(q)
     cosets_ok = True
     includes_zero = all(0 in w for w in witnesses)
@@ -522,9 +503,8 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     if F.p == 2:
         raise EvenCharacteristicUnsupported("the trichotomy concerns odd order")
     plane = projective_plane(F)
-    alpha = min(F.nonsquares())
     conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
-    conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k, alpha) for k in F.units()]
+    conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
     hyp = _hypothesis_matrix(conics)
     # the families share no conic, so the off-diagonal entries are the
@@ -538,7 +518,7 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     violations = [rep for rep in reps if rep.ptype == PencilType.OTHER]
     rng = random.Random(seed)
     # each admissible case pair is built once, and its conics keep their points
-    cases = [[canonical_case_pair(F, c, k, alpha) for k in admissible_ks(F, c, alpha)] for c in (1, 2, 3)]
+    cases = [[canonical_case_pair(F, c, k) for k in admissible_ks(F, c)] for c in (1, 2, 3)]
     cases = [pairs for pairs in cases if pairs]
     sampled = 0
     for _ in range(samples):

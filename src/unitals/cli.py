@@ -29,11 +29,9 @@ import sys
 import traceback
 from functools import lru_cache, partial
 
-import numpy as np
-
 from . import analysis, gf, veronese
 from .conic import Conic, EvenCharacteristicUnsupported, PencilKind, canonical_pencil
-from .geom import PointSet, projective_plane, projective_space
+from .geom import PointSet, projective_plane, projective_space, tangent_counts
 from .gf import GF, is_prime
 from .unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
 
@@ -137,7 +135,6 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
             "theorem3's external/internal point classification is stated for odd q; "
             f"GF({F.order}) has characteristic 2"
         )
-    plane = projective_plane(F)
     n = F.order
     conics = [
         canonical_pencil(F, PencilKind.HYPERBOLIC, 1),
@@ -158,8 +155,8 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
         on, ext, inn = int((cls == 0).sum()), int((cls == 1).sum()), int((cls == -1).sum())
         if (on, ext, inn) != (n + 1, n * (n + 1) // 2, n * (n - 1) // 2):
             counts_ok = False
-        tangents = [plane.line_index(C.tangent_at(plane.point(pi))) for pi in C.points()]
-        cnt = np.bincount(plane.lines[tangents].ravel(), minlength=plane.npoints)
+        # an irreducible conic's tangents are the lines meeting it once
+        cnt = tangent_counts(C.points())
         if not (
             ((cls == 1) == (cnt == 2)).all()
             and ((cls == -1) == (cnt == 0)).all()
@@ -213,7 +210,7 @@ def run_nucleus() -> dict:
             if C.is_irreducible:
                 try:
                     C.nucleus()
-                except Exception:
+                except ValueError:  # no single common point, or not an oval
                     ok = False
                 ovals += 1
         orders.append({"order": F.order, "ovals": ovals})
@@ -235,15 +232,14 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
         raise EvenCharacteristicUnsupported(
             f"cone-residual needs odd characteristic; GF({F.order}) has characteristic 2"
         )
-    alpha = min(F.nonsquares())
-    ks = analysis.admissible_ks(F, case, alpha) if k is None else [k]
-    pairs = [analysis.canonical_case_pair(F, case, kk, alpha) for kk in ks]
+    ks = analysis.admissible_ks(F, case) if k is None else [k]
+    pairs = [analysis.canonical_case_pair(F, case, kk) for kk in ks]
     # the first conic of a case pair does not depend on k
     residuals = veronese.cone_residual_intersection(pairs[0][0], [D for _, D in pairs]) if pairs else []
     entries = []
     ok = True
     for kk, res in zip(ks, residuals):
-        closed = analysis.case_residual_formula(F, case, kk, alpha)
+        closed = analysis.case_residual_formula(F, case, kk)
         match = res == closed
         ok = ok and match
         entry = {"k": kk, "residual_size": len(res), "matches_closed_form": match}
@@ -255,7 +251,7 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
         "claim": "cone-residual",
         "field": F.describe(),
         "case": case,
-        "alpha": alpha if case == 2 else None,
+        "alpha": min(F.nonsquares()) if case == 2 else None,
         "sweep": "full",
         "ks": ks,
         "pairs": entries,
@@ -369,7 +365,11 @@ def _build_set(args, F: GF):
     """(kind, point set, construction conics or None): the set read from
     --points is of kind "points", a built one of the kind --kind names."""
     if args.points:
-        data = json.load(sys.stdin) if args.points == "-" else json.load(open(args.points))
+        if args.points == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.points) as fh:
+                data = json.load(fh)
         plane = projective_plane(F)
         if not isinstance(data, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) and 0 <= i < plane.npoints for i in data
@@ -525,8 +525,8 @@ def cmd_report_all(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_field_opts(sp, square_hint=""):
-    sp.add_argument("--q", type=int, help=f"unital parameter q; the plane has order q^2{square_hint}")
+def _add_field_opts(sp):
+    sp.add_argument("--q", type=int, help="unital parameter q; the plane has order q^2")
     sp.add_argument("--p", type=int, help="characteristic of the plane field")
     sp.add_argument("--h", type=int, help="exponent: plane order p^h")
     sp.add_argument("--modulus", help="comma-separated modulus coefficients, ascending")

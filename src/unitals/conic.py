@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import GF, QuadraticCharacter
-from .geom import PointSet, det3, inv3, line_counts, matmul3, matvec3, projective_plane, tangent_lines, transpose3
+from .geom import PointSet, det3, inv3, line_counts, matmul3, matvec3, projective_plane, tangent_counts, transpose3
 
 
 class EvenCharacteristicUnsupported(ValueError):
@@ -34,10 +34,6 @@ class OddCharacteristic(ValueError):
 
 
 class NotIrreducible(ValueError):
-    pass
-
-
-class AlphaIsSquare(ValueError):
     pass
 
 
@@ -270,11 +266,9 @@ class Conic:
             raise OddCharacteristic("the nucleus exists only in even characteristic")
         if not self._is_oval():
             raise NotIrreducible("point set is not an oval")
-        plane = self.plane
-        tangents = tangent_lines(self.points())
-        hits = np.bincount(plane.lines[tangents].ravel(), minlength=plane.npoints)
-        (common,) = np.flatnonzero(hits == len(tangents)).tolist()
-        return plane.point(common)
+        # an oval has one tangent at each of its n+1 points
+        (common,) = np.flatnonzero(tangent_counts(self.points()) == F.order + 1).tolist()
+        return self.plane.point(common)
 
     def transform(self, M):
         """The conic whose point set is the image of this one under x -> Mx."""
@@ -284,9 +278,9 @@ class Conic:
         return Conic(F, (A2[0][0], A2[1][1], A2[2][2], A2[0][1], A2[0][2], A2[1][2]))
 
 
-def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) -> Conic:
+def canonical_pencil(F: GF, kind: PencilKind, k: int) -> Conic:
     """Member with parameter k of one of the three canonical pencils:
-    hyperbolic 2xy = kz^2, elliptic x^2 - alpha y^2 = kz^2 (alpha a fixed
+    hyperbolic 2xy = kz^2, elliptic x^2 - alpha y^2 = kz^2 (alpha the least
     non-square), parabolic 2yz = x^2 + kz^2."""
     if F.p == 2:
         raise EvenCharacteristicUnsupported("canonical pencils use the factor-2 form")
@@ -297,12 +291,8 @@ def canonical_pencil(F: GF, kind: PencilKind, k: int, alpha: int | None = None) 
             raise ValueError("k = 0 gives the singular member 2xy = 0")
         return Conic(F, (0, 0, F.neg(k), 1, 0, 0))
     if kind == PencilKind.ELLIPTIC:
-        if alpha is None:
-            alpha = min(F.nonsquares())
-        if F.is_square(F.require_element(alpha, "alpha")):
-            raise AlphaIsSquare(f"alpha = {alpha} is a square")
         if k == 0:
             raise ValueError("k = 0 gives a singular member")
-        return Conic(F, (1, F.neg(alpha), F.neg(k), 0, 0, 0))
+        return Conic(F, (1, F.neg(min(F.nonsquares())), F.neg(k), 0, 0, 0))
     return Conic(F, (1, 0, k, 0, 0, F.neg(1)))
 

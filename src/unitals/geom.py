@@ -6,10 +6,11 @@ vectors in lexicographic order; lines of PG(2,n) are enumerated by the same
 scheme through their dual vectors.  The incidence of PG(2,n) is one
 (npoints, n+1) int32 array, ``ProjectiveSpace.lines``, whose row li lists
 the points of line li in increasing order.  A point set is a boolean
-membership array (``PointSet``), and ``line_counts`` is the one place that
-counts the points of a set on each line.  PG(5,n) has no line objects: a
-line there is the n+1 points ``span`` gives for a point pair, indexed with
-``index_rows``.
+membership array (``PointSet``); ``line_counts`` is the one place that
+counts the points of a set on each line, and ``tangent_counts`` the one
+place that counts its tangent lines through each point.  PG(5,n) has no
+line objects: a line there is the n+1 points ``span`` gives for a point
+pair, indexed with ``index_rows``.
 
 Everything here is immutable after construction; the line table and the
 membership arrays are read-only.
@@ -380,3 +381,10 @@ def tangent_lines(S: PointSet):
     """Indices of the lines of PG(2,n) meeting the point set S in exactly
     one point, in increasing order."""
     return np.flatnonzero(line_counts(S) == 1)
+
+
+def tangent_counts(S: PointSet):
+    """Number of tangent lines of S (lines meeting it in one point) through
+    each point of PG(2,n), indexed by point."""
+    plane = S.space
+    return np.bincount(plane.lines[tangent_lines(S)].ravel(), minlength=plane.npoints)

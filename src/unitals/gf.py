@@ -170,16 +170,6 @@ class GF:
                     prod[k - h + i] = (prod[k - h + i] - c * self.modulus[i]) % p
         return sum(prod[i] * p**i for i in range(h))
 
-    def _digit_add(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.h):
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
     def _build_tables(self):
         m = self.order
         # find the first primitive element by index order (1 generates the
@@ -204,22 +194,13 @@ class GF:
             log[e] = i
         self._exp = exp
         self._log = log
-        # negation digit-wise: each base-p digit d becomes (p - d) mod p
-        neg = [0] * m
-        for e in range(m):
-            d, out, mult = e, 0, 1
-            for _ in range(self.h):
-                out += (self.p - d % self.p) % self.p * mult
-                d //= self.p
-                mult *= self.p
-            neg[e] = out
-        self._neg = neg
-        # Zech logarithms: zech[k] = log(1 + g^k), -1 when 1 + g^k = 0
-        zech = [0] * (m - 1)
-        for k in range(m - 1):
-            s = self._digit_add(1, exp[k])
-            zech[k] = log[s] if s else -1
-        self._zech = zech
+        # -a = (-1)*a, and -1 is the element p-1
+        log_minus_one = log[self.p - 1]
+        self._neg = [0] + [exp[(log[a] + log_minus_one) % (m - 1)] for a in range(1, m)]
+        # Zech logarithms: zech[k] = log(1 + g^k), -1 when 1 + g^k = 0;
+        # adding 1 changes only the lowest base-p digit
+        p = self.p
+        self._zech = [log[s] if s else -1 for s in (e - e % p + (e + 1) % p for e in exp)]
 
     # -- identity ------------------------------------------------------------
 
@@ -374,13 +355,8 @@ class GF:
     @_built_on_first_use
     def character_table(self):
         """int8 table: 0 for zero, 1 for nonzero squares, -1 for non-squares."""
-        out = np.ones(self.order, dtype=np.int8)
-        out[0] = 0
-        if self.p != 2:
-            for e in range(1, self.order):
-                if self._log[e] % 2:
-                    out[e] = -1
-        return out
+        nonsquare = (self.log_table % 2 == 1) & (self.p != 2)
+        return np.select([np.arange(self.order) == 0, nonsquare], [0, -1], 1).astype(np.int8)
 
 
 def _isqrt_exact(n: int):

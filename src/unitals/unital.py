@@ -14,7 +14,7 @@ from operator import or_
 import numpy as np
 
 from .conic import PencilKind, canonical_pencil
-from .geom import PointSet, line_counts, projective_plane, tangent_lines
+from .geom import PointSet, line_counts, projective_plane, tangent_counts
 from .gf import GF, _isqrt_exact
 
 
@@ -108,9 +108,8 @@ def tangent_structure(S: PointSet) -> TangentReport:
     report = is_unital(S)
     if not report.is_unital:
         raise NotAUnital("tangent structure is only defined for unitals")
-    plane = S.space
     q = report.q
-    per_point = np.bincount(plane.lines[tangent_lines(S)].ravel(), minlength=plane.npoints)
+    per_point = tangent_counts(S)
     on = S.member
     on_profile = _profile(per_point[on])
     off_profile = _profile(per_point[~on])

@@ -125,11 +125,10 @@ def test_criterion_6_cone_oracle_vs_closed_forms():
     ok = True
     for p in (3, 5):
         F = field(p, 2)
-        alpha = min(F.nonsquares())
         apexes = set()
         for case in (1, 2, 3):
-            ks = admissible_ks(F, case, alpha)
-            pairs = [canonical_case_pair(F, case, k, alpha) for k in ks]
+            ks = admissible_ks(F, case)
+            pairs = [canonical_case_pair(F, case, k) for k in ks]
             if not pairs:
                 continue
             C, Ds = pairs[0][0], [D for _, D in pairs]
@@ -137,7 +136,7 @@ def test_criterion_6_cone_oracle_vs_closed_forms():
             scan = cone_residual_intersection(C, Ds, method="scan")
             ok &= cone_residual_intersection(C, Ds) == scan
             for k, res in zip(ks, scan):
-                ok &= res == case_residual_formula(F, case, k, alpha)
+                ok &= res == case_residual_formula(F, case, k)
                 if case == 3:
                     ok &= res == []
         # each swept apex: the direct cone is the sweep, index for index

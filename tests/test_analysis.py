@@ -144,9 +144,8 @@ def test_hypothesis_matrix_matches_classify_point(spec):
 
     F = field(*spec)
     plane = projective_plane(F)
-    alpha = min(F.nonsquares())
     conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
-    conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k, alpha) for k in F.units()]
+    conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
     hyp = _hypothesis_matrix(conics)
     for i, C in enumerate(conics):
@@ -165,6 +164,30 @@ def test_classify_pair_errors():
         classify_pair(C, C)
     with pytest.raises(SingularConic):
         classify_pair(C, Conic(F, (0, 0, 1, 0, 0, 0)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from([(3, 2), (5, 2)]), st.booleans(), st.data())
+def test_classify_pair_is_invariant_under_collineations(spec, canonical, data):
+    # a collineation keeps the pencil's type, the common points, the
+    # external points and the rank of every member
+    F = field(*spec)
+    elem = st.integers(0, F.order - 1)
+    if canonical:
+        case = data.draw(st.sampled_from([1, 2, 3]), label="case")
+        # k = 0 is singular in cases 1 and 2; the first conic has k = 1, 1, 0
+        k = data.draw(elem.filter(lambda k: k not in ((0,) if case == 3 else (0, 1))), label="k")
+        C, D = canonical_case_pair(F, case, k)
+    else:
+        irreducible = st.tuples(*[elem] * 6).filter(any).map(lambda c: Conic(F, c)).filter(lambda E: E.rank() == 3)
+        C = data.draw(irreducible, label="C")
+        D = data.draw(irreducible.filter(lambda E: E != C), label="D")
+    M = data.draw(st.tuples(*[st.tuples(elem, elem, elem)] * 3).filter(lambda M: det3(F, M) != 0), label="M")
+
+    def kept(rep):
+        return rep.ptype, len(rep.common_points), rep.hypothesis_holds, rep.rank1_member is not None
+
+    assert kept(classify_pair(C.transform(M), D.transform(M))) == kept(classify_pair(C, D))
 
 
 @pytest.mark.parametrize("q,expected", [(3, 2), (5, 3), (7, 4)])

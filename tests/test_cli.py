@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitals import analysis, cli, veronese
 from unitals.cli import main
+from unitals.conic import Conic
 from unitals.gf import field
 
 
@@ -176,6 +177,21 @@ def test_check_nucleus(capsys):
     code, rep = run_json(capsys, "check", "--claim", "nucleus")
     assert code == 0
     assert rep["ok"] and rep["ovals_checked"] > 0
+
+
+@pytest.mark.parametrize("error,code", [(RuntimeError, 3), (ValueError, 1)])
+def test_nucleus_faults_are_internal_and_misses_are_violations(capsys, monkeypatch, error, code):
+    # a ValueError is the nucleus claim failing; anything else is a fault
+    def nucleus(self):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(Conic, "nucleus", nucleus)
+    assert main(["check", "--claim", "nucleus"]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert json.loads(captured.out)["ok"] is False
+    else:
+        assert captured.out == "" and captured.err.endswith("RuntimeError: raised on purpose\n")
 
 
 def test_check_main_q3(capsys):

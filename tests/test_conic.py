@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.conic import (
-    AlphaIsSquare,
     Conic,
     EvenCharacteristicUnsupported,
     NotIrreducible,
@@ -114,7 +113,7 @@ def test_rank_and_det():
     # elliptic and parabolic members store the leading-one form directly
     alpha = min(F.nonsquares())
     for k in F.units():
-        assert canonical_pencil(F, PencilKind.ELLIPTIC, k, alpha).det() == F.mul(alpha, k)
+        assert canonical_pencil(F, PencilKind.ELLIPTIC, k).det() == F.mul(alpha, k)
     for k in F.elements():
         assert canonical_pencil(F, PencilKind.PARABOLIC, k).det() == F.neg(1)
     assert Conic(F, (0, 0, 1, 0, 0, 0)).rank() == 1  # z^2
@@ -252,11 +251,11 @@ def test_canonical_pencil():
     assert C.coeffs == (0, 0, 1, F.neg(1), 0, 0)
     P = canonical_pencil(F, PencilKind.PARABOLIC, 0)
     assert P.coeffs == (1, 0, 0, 0, 0, F.neg(1))
-    with pytest.raises(AlphaIsSquare):
-        canonical_pencil(F, PencilKind.ELLIPTIC, 1, alpha=1)
     with pytest.raises(ValueError):
         canonical_pencil(F, PencilKind.HYPERBOLIC, 0)
     E1 = canonical_pencil(F, PencilKind.ELLIPTIC, 1)
+    # x^2 - alpha y^2 = z^2 with alpha the least non-square
+    assert E1.coeffs == (1, F.neg(min(F.nonsquares())), F.neg(1), 0, 0, 0)
     for k in F.units():
         if k == 1:
             continue
@@ -354,8 +353,6 @@ def test_out_of_range_elements_are_refused(bad):
     for kind in PencilKind:
         with pytest.raises(ValueError, match=f"k {bad} is not a field element"):
             canonical_pencil(F, kind, bad)
-    with pytest.raises(ValueError, match=f"alpha {bad} is not a field element"):
-        canonical_pencil(F, PencilKind.ELLIPTIC, 1, bad)
 
 
 def test_coefficients_are_python_ints():

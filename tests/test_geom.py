@@ -23,6 +23,7 @@ from unitals.geom import (
     projective_plane,
     projective_space,
     span,
+    tangent_counts,
     tangent_lines,
 )
 
@@ -232,6 +233,11 @@ def test_line_counts():
     assert counts.tolist() == [len(set(pts) & set(S.indices())) for pts in plane.lines.tolist()]
     assert counts[4] == 4
     assert tangent_lines(S).tolist() == [li for li, c in enumerate(counts.tolist()) if c == 1]
+    # tangent lines through each point, counted line by line
+    through = [sum(1 for li in tangent_lines(S).tolist() if pi in plane.lines[li]) for pi in range(plane.npoints)]
+    assert tangent_counts(S).tolist() == through
+    # S is line 4: its points lie on 3 other lines, any other point on 4 lines through S
+    assert through == [3 if S.contains(pi) else 4 for pi in range(plane.npoints)]
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])

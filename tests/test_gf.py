@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals.gf import (
     GF,
@@ -7,12 +9,31 @@ from unitals.gf import (
     NotPrime,
     QuadraticCharacter,
     ReducibleModulus,
+    default_modulus,
     field,
     is_irreducible,
     nullspace,
 )
 
 ODD_ORDERS = [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (7, 4)]
+
+
+def _last_modulus(p, h):
+    """The last irreducible monic degree-h polynomial in the default
+    modulus's scan order."""
+    for k in reversed(range(p**h)):
+        cand = tuple(k // p**i % p for i in range(h)) + (1,)
+        if is_irreducible(p, cand):
+            return cand
+
+
+# (p, h, modulus) for orders 2 to 256 in both characteristics, each with
+# its default modulus and, where there is one, the last in the scan order
+TABLE_FIELDS = [
+    (p, h, modulus)
+    for p, h in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (13, 2))
+    for modulus in sorted({default_modulus(p, h), _last_modulus(p, h)})
+]
 
 
 def test_construction_basic():
@@ -58,17 +79,19 @@ def test_irreducibility_oracle():
             assert is_irreducible(p, coeffs) == (not reducible_by_roots(p, coeffs))
 
 
-def test_field_axioms_gf9():
-    F = field(3, 2)
-    for a in F.elements():
-        for b in F.elements():
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
-            assert F.sub(a, b) == F.add(a, F.neg(b))
-            for c in F.elements():
-                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.add(a, F.neg(a)) == 0
-        assert F.add(a, 0) == a and F.mul(a, 1) == a
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(TABLE_FIELDS), st.data())
+def test_field_axioms(spec, data):
+    F = field(*spec)
+    a, b, c = (data.draw(st.integers(0, F.order - 1)) for _ in range(3))
+    assert F.add(a, b) == F.add(b, a)
+    assert F.mul(a, b) == F.mul(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.sub(a, b) == F.add(a, F.neg(b))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, F.neg(a)) == 0
+    assert F.add(a, 0) == a and F.mul(a, 1) == a
 
 
 def test_inverse_exhaustive():
@@ -163,17 +186,21 @@ def test_subfield_elements():
 
 
 def test_numpy_tables_match_scalar_ops():
-    for p, h in ((3, 2), (2, 3)):
-        F = field(p, h)
+    for spec in TABLE_FIELDS:
+        F = field(*spec)
         add, mul, neg = F.add_table, F.mul_table, F.neg_table
-        for a in F.elements():
-            assert neg[a] == F.neg(a)
-            for b in F.elements():
-                assert add[a, b] == F.add(a, b)
-                assert mul[a, b] == F.mul(a, b)
+        elems = np.arange(F.order)
+        # scalar add goes through the Zech logarithms, add_table digit by digit
+        assert np.array_equal(add, [[F.add(a, b) for b in F.elements()] for a in F.elements()]), F
+        assert np.array_equal(mul, [[F.mul(a, b) for b in F.elements()] for a in F.elements()]), F
+        assert np.array_equal(neg, [F.neg(a) for a in F.elements()]), F
+        assert not add[elems, neg].any(), F
         chi = F.character_table
-        for e in F.elements():
-            assert chi[e] == F.quadratic_character(e).value
+        assert chi.tolist() == [F.quadratic_character(e).value for e in F.elements()], F
+        # against squaring: 0, then 1 on the nonzero squares and -1 elsewhere
+        squares = np.zeros(F.order, dtype=bool)
+        squares[mul[elems, elems]] = True
+        assert np.array_equal(chi, np.where(elems == 0, 0, np.where(squares, 1, -1))), F
         inv = F.inv_table
         assert inv[0] == 0 and all(inv[a] == F.inv(a) for a in F.units())
         lg, ex = F.log_table, F.exp_table
