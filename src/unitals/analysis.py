@@ -30,6 +30,11 @@ lowest point P exactly when n-1 points R > P of S hit lam, and each conic
 inside S is found once, from its lowest point and its point on the anchor
 secant.
 
+The pairs of one P all span its anchor secant, so M is one line for all of
+them, and only L_Q changes from pair to pair.  The search computes
+M(R)^2 and L_P(R) once per P, from one representative of M, and L_Q(R)
+once per pair.
+
 Neither the identity nor the anchor argument divides by 2, so the search
 runs in every characteristic.  Two things differ in characteristic 2: the
 coefficient of x_i*x_j (i != j) is not halved, and log -1 is 0.
@@ -222,9 +227,18 @@ def _unique_tangents(S: PointSet):
 
 
 def _dot(F: GF, U, V):
-    """u0*v0 + u1*v1 + u2*v2 over F for broadcast (..., 3) arrays."""
-    mul, add = F.mul_table, F.add_table
-    return add[add[mul[U[..., 0], V[..., 0]], mul[U[..., 1], V[..., 1]]], mul[U[..., 2], V[..., 2]]]
+    """u0*v0 + u1*v1 + u2*v2 over F for broadcast (..., 3) arrays, in the
+    field's dtype.  Each product and sum gathers from a flat table on
+    narrow indices (< m^2), as in ``geom.span``; U is the operand widened,
+    so it should be the smaller one."""
+    m = F.order
+    mul, add = F.mul_table.ravel(), F.add_table.ravel()
+    wide = np.uint16 if m <= 256 else np.uint32
+    U = np.asarray(U).astype(wide) * m
+    acc = mul[U[..., 0] + V[..., 0]]
+    for i in (1, 2):
+        acc = add[acc.astype(wide) * m + mul[U[..., i] + V[..., i]]]
+    return acc
 
 
 def _cross(F: GF, U, V):
@@ -268,16 +282,22 @@ def _anchor_pairs(S: PointSet):
     of S, the later points Q of S on its anchor secant, the secant through
     P with the fewest of them."""
     N = S.card
+    lines = S.space.lines
     rank = np.where(S.member, np.cumsum(S.member, dtype=np.int32) - 1, -1)
-    on = rank[S.space.lines[line_counts(S) > 1]]
-    inside = on >= 0
-    # a line's points are sorted, so its points of S come in rank order
-    later = np.cumsum(inside[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - inside
-    li, col = np.nonzero(inside)
-    # the smallest later*|secants| + line for each P names its anchor secant
+    secants = np.flatnonzero(line_counts(S) > 1)
+    # the smallest later*|secants| + position for each P names its anchor
+    # secant; a running minimum over blocks of secants keeps the
+    # temporaries at one block's size
     best = np.full(N, np.iinfo(np.int64).max)
-    np.minimum.at(best, on[li, col], later[li, col] * np.int64(len(on)) + li)
-    anchor = on[best % len(on)]
+    block = max(1, _CHUNK // lines.shape[1])
+    for lo in range(0, len(secants), block):
+        on = rank[lines[secants[lo : lo + block]]]
+        inside = on >= 0
+        # a line's points are sorted, so its points of S come in rank order
+        later = np.cumsum(inside[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - inside
+        li, col = np.nonzero(inside)
+        np.minimum.at(best, on[li, col], later[li, col] * np.int64(len(secants)) + (li + lo))
+    anchor = rank[lines[secants[best % len(secants)]]]
     p, c = np.nonzero(anchor > np.arange(N)[:, None])
     return p, anchor[p, c]
 
@@ -293,7 +313,9 @@ def _conics_contained_pencils(S: PointSet, tangents):
     M(R) can be 0 (R on the line PQ, P and Q included); its log is a
     sentinel past any sum of three valid logs, and one lookup maps a sum
     to log lam or to a dump column g.  Every sum is below 5g, which fits
-    int16 up to order TABLE_LIMIT."""
+    int16 up to order TABLE_LIMIT.  Each chunk sums log M(R)^2 + log
+    1/L_P(R) once per P, M taken from P's first pair for all its rows, and
+    gives the rows of P a copy with one take."""
     plane = S.space
     F = plane.field
     n, g = F.order, F.order - 1
@@ -310,22 +332,33 @@ def _conics_contained_pencils(S: PointSet, tangents):
     log_inv = (-F.log_table % g).astype(np.int16)
     log_sq = (2 * F.log_table % g).astype(np.int16)
     log_sq[0] = zero
-    m = _cross(F, pts[p], pts[q])
+    # the rows of one P are adjacent: up holds the distinct Ps, own[r] the
+    # position of row r's P in up, and P's first row gives its M
+    starts = np.diff(p, prepend=-1) != 0
+    own = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    up = p[first]
+    m = _cross(F, pts[up], pts[q[first]])
+    lp = tangents[up]
     found = []
     step = max(1, _CHUNK // N)
     for lo in range(0, len(p), step):
-        rows, R = slice(lo, lo + step), pts[None, p[lo] + 1 :]
-        s = log_sq[_dot(F, m[rows, None], R)]
-        s += log_inv[_dot(F, tangents[p[rows], None], R)]
-        s += log_inv[_dot(F, tangents[q[rows], None], R)]
-        # R starts after the chunk's first P; the later rows drop R <= P
-        s[np.arange(p[lo] + 1, N) <= p[rows, None]] = zero
+        hi = min(lo + step, len(p))
+        # the chunk's Ps are up[u0:u1]; a P's rows may straddle two chunks
+        u0, u1 = own[lo], own[hi - 1] + 1
+        R = pts[None, p[lo] + 1 :]
+        per_p = log_sq[_dot(F, m[u0:u1, None], R)]
+        per_p += log_inv[_dot(F, lp[u0:u1, None], R)]
+        # R starts after the chunk's first P; the later Ps drop R <= P
+        per_p[np.arange(p[lo] + 1, N) <= up[u0:u1, None]] = zero
+        s = per_p.take(own[lo:hi] - u0, axis=0)
+        s += log_inv[_dot(F, tangents[q[lo:hi], None], R)]
         lam = lookup[s] + (g + 1) * np.arange(len(s))[:, None]
         counts = np.bincount(lam.ravel(), minlength=len(s) * (g + 1)).reshape(len(s), g + 1)
         r, k = np.nonzero(counts[:, :g] == n - 1)
         found.append((r + lo, k))
     r, k = (np.concatenate(x) for x in zip(*found))
-    rows = _pencil_member(F, m[r], tangents[p[r]], tangents[q[r]], F.exp_table[k])
+    rows = _pencil_member(F, m[own[r]], lp[own[r]], tangents[q[r]], F.exp_table[k])
     space5 = projective_space(F, 5)
     return [Conic(F, space5.point(int(i))) for i in np.sort(space5.index_rows(rows))]
 

@@ -24,6 +24,7 @@ from unitals.analysis import (
     random_invertible,
     verify_afkl,
     _anchor_pairs,
+    _dot,
     _hypothesis_matrix,
     _transform_points,
     _unique_tangents,
@@ -479,6 +480,88 @@ def test_pencil_search_chunks_do_not_change_output(monkeypatch):
     monkeypatch.setattr(analysis, "_CHUNK", 1)
     assert [conics_contained(S, method="pencil") for S in sets] == expected
     assert [len(c) for c in expected] == [5, 0, 5]
+
+
+# both characteristics, up to order 256 and at 289, where the flat-table
+# index moves from uint16 to uint32
+_DOT_FIELDS = [field(p, h) for p, h in ((2, 1), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2), (2, 8), (17, 2))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(_DOT_FIELDS), st.data())
+def test_dot_matches_scalar_sums(F, data):
+    element = st.integers(0, F.order - 1)
+    vectors = st.lists(st.lists(element, min_size=3, max_size=3), min_size=1, max_size=6)
+    us, vs = data.draw(vectors), data.draw(vectors)
+    dt = F.mul_table.dtype
+    # the search passes U in the field's dtype, _transform_points as int64
+    U = np.array(us, dtype=data.draw(st.sampled_from([dt, np.int64])))
+    V = np.array(vs, dtype=dt)
+
+    def dot(u, v):
+        return F.add(F.add(F.mul(u[0], v[0]), F.mul(u[1], v[1])), F.mul(u[2], v[2]))
+
+    shape = data.draw(st.sampled_from(["outer", "pairs", "one"]))
+    if shape == "outer":  # every u against every v, as the search does
+        got, want = _dot(F, U[:, None], V[None]), [[dot(u, v) for v in vs] for u in us]
+    elif shape == "pairs":
+        k = min(len(us), len(vs))
+        got, want = _dot(F, U[:k], V[:k]), [dot(u, v) for u, v in zip(us, vs)]
+    else:
+        got, want = _dot(F, U[0], V), [dot(us[0], v) for v in vs]
+    assert got.dtype == dt
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
+    # one secant per block, so that the running minimum meets every secant
+    # in a block of its own
+    F = field(p, 2)
+    U = behs_unital(F)[0]
+    sets = [U, hermitian_unital(F), _transform_points(projective_plane(F), random_invertible(F, random.Random(p)), U)]
+    expected = [[a.tolist() for a in _anchor_pairs(S)] for S in sets]
+    monkeypatch.setattr(analysis, "_CHUNK", 1)
+    assert [[a.tolist() for a in _anchor_pairs(S)] for S in sets] == expected
+
+
+def test_anchor_pairs_memory_stays_below_the_line_table():
+    # the secants are read in blocks: at plane order 121 the peak is about
+    # 0.28x the line table, the boolean incidence of line_counts; a
+    # table-sized int32 temporary alone would be 1x
+    S = behs_unital(field(11, 2))[0]
+    tracemalloc.start()
+    try:
+        _anchor_pairs(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * S.space.lines.nbytes
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pencil_search_gathers_once_per_point(monkeypatch, p):
+    # M(R) and L_P(R) are gathered once per point P of a chunk, L_Q(R) once
+    # per anchor pair (P, Q): at most (rows + 2*distinct P)*|S| entries,
+    # where three gathers per row would need up to 3*rows*|S|
+    F = field(p, 2)
+    U = behs_unital(F)[0]
+    image = _transform_points(projective_plane(F), random_invertible(F, random.Random(p)), U)
+    dot = analysis._dot
+    entries = 0
+
+    def counted(F, U, V):
+        nonlocal entries
+        out = dot(F, U, V)
+        entries += out.size
+        return out
+
+    monkeypatch.setattr(analysis, "_dot", counted)
+    for S in (U, hermitian_unital(F), image):
+        entries = 0
+        conics_contained(S, method="pencil")
+        ps = _anchor_pairs(S)[0]
+        assert 0 < entries <= (len(ps) + 2 * len(np.unique(ps))) * S.card
 
 
 @pytest.mark.parametrize("q,behs,herm", [(5, 92, 116), (7, 346, 347), (4, None, 44), (8, None, 764)])

@@ -20,6 +20,7 @@ from unitals.conic import (
     rank1_rows,
     symmetric_rank_leq1,
 )
+from unitals.analysis import random_invertible
 from unitals.cli import _jsonable
 from unitals.geom import apply_collineation, projective_plane, projective_space
 from unitals.gf import field, nullspace
@@ -272,6 +273,32 @@ def test_transform_matches_point_images():
     imgs = {plane.index(apply_collineation(plane, M, plane.point(i))) for i in C.points().indices()}
     assert set(Ct.points().indices()) == imgs
     assert Ct.rank() == 3
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (2, 4), (5, 2), (7, 2)])
+def test_transform_matches_point_images_at_larger_orders(p, h):
+    # seeded random conics under seeded random collineations; the
+    # transform goes through the symmetric matrix, so at even order it is
+    # refused like every other piece of the matrix machinery
+    F = field(p, h)
+    plane = projective_plane(F)
+    rng = random.Random(p * 100 + h)
+    checked = 0
+    while checked < 4:
+        coeffs = [rng.randrange(F.order) for _ in range(6)]
+        if not any(coeffs):
+            continue
+        C = Conic(F, coeffs)
+        M = random_invertible(F, rng)
+        checked += 1
+        if F.p == 2:
+            with pytest.raises(EvenCharacteristicUnsupported):
+                C.transform(M)
+            continue
+        Ct = C.transform(M)
+        imgs = {plane.index(apply_collineation(plane, M, plane.point(i))) for i in C.points().indices()}
+        assert set(Ct.points().indices()) == imgs
+        assert Ct.rank() == C.rank()
 
 
 def test_case1_collineation_maps_exceptional_conics():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +232,46 @@ def test_nullspace():
             for r, x in zip(row, v):
                 acc = F.add(acc, F.mul(r, x))
             assert acc == 0
+
+
+def _combinations(F, vectors, ncols):
+    """(F.order**k, ncols) array of every F-linear combination of k
+    vectors of length ncols, one row per coefficient tuple."""
+    add, mul = F.add_table, F.mul_table
+    vectors = np.array(vectors, dtype=np.int64).reshape(-1, ncols)
+    k = len(vectors)
+    coeffs = np.array(list(product(range(F.order), repeat=k)), dtype=np.int64).reshape(F.order**k, k)
+    out = np.zeros((len(coeffs), ncols), dtype=np.int64)
+    for c, v in zip(coeffs.T, vectors):
+        out = add[out, mul[c[:, None], v]]
+    return out
+
+
+# small orders in both characteristics, where F^rows and F^cols enumerate
+_NULLSPACE_FIELDS = [field(p, h) for p, h in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (7, 1), (3, 2))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(_NULLSPACE_FIELDS), st.data())
+def test_nullspace_on_random_systems(F, data):
+    ncols = data.draw(st.integers(1, 5))
+    # zeros drawn often, so that low ranks and zero rows occur
+    entry = st.one_of(st.just(0), st.integers(0, F.order - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    # the rank by brute force: the row space has F.order**rank vectors
+    row_space = len(np.unique(_combinations(F, rows, ncols), axis=0))
+    rank = next(r for r in range(ncols + 1) if F.order**r == row_space)
+    basis = nullspace(F, rows)
+    assert len(basis) == ncols - rank
+    # each combination of the basis solves every row, and the F.order**k
+    # combinations are distinct, so the basis is independent
+    kernel = _combinations(F, basis, ncols)
+    assert len(np.unique(kernel, axis=0)) == F.order ** len(basis)
+    for row in rows:
+        acc = np.zeros(len(kernel), dtype=np.int64)
+        for r, x in zip(row, kernel.T):
+            acc = F.add_table[acc, F.mul_table[r, x]]
+        assert not acc.any()
 
 
 @pytest.mark.parametrize("a", [-1, 9, 99])
