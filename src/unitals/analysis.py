@@ -48,28 +48,15 @@ from operator import or_
 
 import numpy as np
 
-from .conic import (
-    Conic,
-    EvenCharacteristicUnsupported,
-    PencilKind,
-    SingularConic,
-    _monomials,
-    canonical_pencil,
-    eval_many,
-    rank1_rows,
-)
+from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
 from .geom import PointSet, det3, line_counts, projective_plane, projective_space, span, tangent_lines
 from .gf import GF, QuadraticCharacter, _isqrt_exact, nullspace
-from .unital import NotAUnital, is_unital
+from .unital import is_unital
 from .veronese import veronese_point
 
 
-class CoincidentConics(ValueError):
-    pass
-
-
-class FieldTooSmall(ValueError):
-    pass
+class NotStated(ValueError):
+    """The paper does not state the claim at this order."""
 
 
 class PencilType(enum.Enum):
@@ -102,9 +89,9 @@ def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: Poin
     if F != D.field:
         raise ValueError("conics live over different fields")
     if C == D:
-        raise CoincidentConics("the two conics coincide")
+        raise ValueError("the two conics coincide")
     if C.rank() != 3 or D.rank() != 3:
-        raise SingularConic("pencil classification needs irreducible conics")
+        raise ValueError("pencil classification needs irreducible conics")
     plane = C.plane
     if pts_c is None:
         pts_c = C.points()
@@ -443,7 +430,7 @@ def lemma1_search(F: GF) -> DiffSetReport:
     """Largest subsets of the nonzero squares whose pairwise differences are
     all non-squares, by exact clique search."""
     if F.p == 2:
-        raise EvenCharacteristicUnsupported("the difference-set lemmas concern odd q")
+        raise NotStated("the difference-set lemmas concern odd q")
     size, witnesses = _max_cliques(F, F.squares())
     return DiffSetReport("nonzero_squares", size, witnesses)
 
@@ -459,7 +446,7 @@ def lemma2_search(F: GF) -> DiffSetReport:
     if q is None:
         raise ValueError("lemma2 search needs a square plane order")
     if F.p == 2:
-        raise EvenCharacteristicUnsupported("the difference-set lemmas concern odd q")
+        raise NotStated("the difference-set lemmas concern odd q")
     size, witnesses = _max_cliques(F, [0] + F.nonsquares())
     subfield = F.subfield_elements(q)
     cosets_ok = True
@@ -532,9 +519,9 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     """
     n = F.order
     if n < 17:
-        raise FieldTooSmall(f"the trichotomy is stated for orders >= 17, got {n}")
+        raise NotStated(f"the trichotomy is stated for orders >= 17, got {n}")
     if F.p == 2:
-        raise EvenCharacteristicUnsupported("the trichotomy concerns odd order")
+        raise NotStated("the trichotomy concerns odd order")
     plane = projective_plane(F)
     conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k) for k in F.units()]
@@ -620,7 +607,7 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     """
     report = is_unital(S)
     if not report.is_unital:
-        raise NotAUnital("certificate requires a verified unital")
+        raise ValueError("certificate requires a verified unital")
     plane = S.space
     F = plane.field
     q = report.q

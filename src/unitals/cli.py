@@ -4,7 +4,8 @@ report.
 Reports are JSON by default with a fixed key order, field elements appear
 as integer indices, and each report carries the field description (p, h,
 modulus coefficients ascending) so it is self-describing.  Identical
-configuration, including --seed, produces byte-identical output.  This
+configuration, including the --seed of check and report-all, produces
+byte-identical output.  This
 module is the only one that speaks JSON: the library returns dataclasses,
 and ``_emit`` encodes them through one ``json.dumps`` hook, ``_jsonable``;
 --format text reads the JSON text back and lays it out.  Every
@@ -16,8 +17,11 @@ module's function ``cmd_NAME`` (dashes read as underscores), looked up when
 it is called, so a function replaced on the module is the one that runs.
 
 Exit status: 0 when every checked claim is verified, 1 when a claim is
-violated, 2 on usage errors (including claims refused at the given order),
-3 on an internal error, whose traceback goes to stderr.
+violated, 2 on any ``ValueError`` or ``OSError`` (bad input, or a claim
+refused at the given order), 3 on an internal error, whose traceback goes
+to stderr.  ``report-all`` skips a claim only on ``analysis.NotStated``,
+the paper not stating it at this order; any other refusal inside a claim
+ends the run with status 2.
 """
 
 import argparse
@@ -30,14 +34,10 @@ import traceback
 from functools import lru_cache, partial
 
 from . import analysis, gf, veronese
-from .conic import Conic, EvenCharacteristicUnsupported, PencilKind, canonical_pencil
+from .conic import Conic, PencilKind, canonical_pencil
 from .geom import PointSet, projective_plane, projective_space, tangent_counts
 from .gf import GF, is_prime
 from .unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
-
-
-class UsageError(Exception):
-    pass
 
 
 def _prime_power(n: int):
@@ -48,9 +48,9 @@ def _prime_power(n: int):
                 rest //= p
                 e += 1
             if rest != 1 or not is_prime(p):
-                raise UsageError(f"{n} is not a prime power")
+                raise ValueError(f"{n} is not a prime power")
             return p, e
-    raise UsageError("order must be at least 2")
+    raise ValueError("order must be at least 2")
 
 
 def _conic_arg(F: GF, text: str, option: str) -> Conic:
@@ -66,11 +66,11 @@ def field_from_args(args, need_square=False) -> GF:
         return gf.field(p, 2 * e, modulus)
     if getattr(args, "p", None) is not None:
         if args.h is None:
-            raise UsageError("--p needs --h")
+            raise ValueError("--p needs --h")
         if need_square and args.h % 2:
-            raise UsageError("this command needs a square plane order (h even or use --q)")
+            raise ValueError("this command needs a square plane order (h even or use --q)")
         return gf.field(args.p, args.h, modulus)
-    raise UsageError("specify the field with --q or with --p/--h")
+    raise ValueError("specify the field with --q or with --p/--h")
 
 
 def _fields(report) -> dict:
@@ -94,7 +94,7 @@ def _jsonable(obj):
 def _emit(args, report: dict, csv_rows=None) -> None:
     if args.format == "csv":
         if csv_rows is None:
-            raise UsageError("csv output is only offered for line-profile and difference-set tables")
+            raise ValueError("csv output is only offered for line-profile and difference-set tables")
         sys.stdout.write("\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n")
         return
     text = json.dumps(report, indent=2, default=_jsonable)
@@ -131,7 +131,7 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
     """Point classifier against the tangent-counting oracle, plus the
     external/internal census n(n+1)/2 and n(n-1)/2."""
     if F.p == 2:
-        raise EvenCharacteristicUnsupported(
+        raise analysis.NotStated(
             "theorem3's external/internal point classification is stated for odd q; "
             f"GF({F.order}) has characteristic 2"
         )
@@ -229,7 +229,7 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
     z^2 = (0,0,1,0,0,0).  Square orders q^2 are 1 mod 8, so no plane of the
     paper admits k = -1."""
     if F.p == 2:
-        raise EvenCharacteristicUnsupported(
+        raise analysis.NotStated(
             f"cone-residual needs odd characteristic; GF({F.order}) has characteristic 2"
         )
     ks = analysis.admissible_ks(F, case) if k is None else [k]
@@ -374,7 +374,7 @@ def _build_set(args, F: GF):
         if not isinstance(data, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) and 0 <= i < plane.npoints for i in data
         ):
-            raise UsageError(f"--points must be a JSON list of point indices in 0..{plane.npoints - 1}")
+            raise ValueError(f"--points must be a JSON list of point indices in 0..{plane.npoints - 1}")
         return "points", PointSet.from_indices(plane, data), None
     if args.kind == "hermitian":
         return "hermitian", hermitian_unital(F), None
@@ -436,7 +436,7 @@ def cmd_classify_pair(args) -> int:
         if args.k2 is not None:
             D = analysis.canonical_case_pair(F, args.case, F.require_element(args.k2, "--k2"))[1]
     else:
-        raise UsageError("give --conic/--conic2 or --case with --k")
+        raise ValueError("give --conic/--conic2 or --case with --k")
     report = {"field": F.describe(), **_fields(analysis.classify_pair(C, D))}
     _emit(args, report)
     return 0
@@ -450,7 +450,7 @@ def cmd_cone_residual(args) -> int:
         ks = analysis.admissible_ks(F, args.case)
         if k not in ks:
             listed = ", ".join(map(str, ks)) or "none"
-            raise UsageError(
+            raise ValueError(
                 f"--k {k} is not admissible for case {args.case} over GF({F.order}); admissible: {listed}"
             )
     report = run_cone_residual_case(F, args.case, k, full=True)
@@ -498,7 +498,7 @@ def cmd_report_all(args) -> int:
     for head, run in runs:
         try:
             claims.append(run())
-        except (analysis.FieldTooSmall, EvenCharacteristicUnsupported) as exc:
+        except analysis.NotStated as exc:
             # a claim not stated at this order is skipped, not violated
             claims.append({**head, "skipped": str(exc), "ok": None})
     verified = sum(1 for c in claims if c["ok"] is True)
@@ -534,7 +534,6 @@ def _add_field_opts(sp):
 
 def _add_common(sp):
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1, help="accepted and ignored: every check runs in one process")
 
 
@@ -580,11 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_opts(sp)
     _add_common(sp)
     sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("report-all", help="run every claim and aggregate the statuses")
     _add_field_opts(sp)
     _add_common(sp)
     sp.add_argument("--samples", type=int, default=100, help="random conics for the classifier check")
+    sp.add_argument("--seed", type=int, default=0)
 
     return ap
 
@@ -594,11 +595,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if getattr(args, "samples", 0) < 0:
-            raise UsageError(f"--samples must be at least 0, got {args.samples}")
+            raise ValueError(f"--samples must be at least 0, got {args.samples}")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,8 @@ the first nonzero entry is 1.  In odd characteristic the quadratic form is
 a11 x^2 + a22 y^2 + a33 z^2 + 2 a12 xy + 2 a13 xz + 2 a23 yz and the usual
 symmetric-matrix machinery (rank, determinant, polarity) applies.  In even
 characteristic the stored cross coefficients are the literal polynomial
-coefficients and only point-set operations plus the nucleus are offered.
+coefficients and only point-set operations, the transform and the nucleus
+are offered.
 """
 
 import enum
@@ -14,27 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import GF, QuadraticCharacter
-from .geom import PointSet, det3, inv3, line_counts, matmul3, matvec3, projective_plane, tangent_counts, transpose3
-
-
-class EvenCharacteristicUnsupported(ValueError):
-    pass
-
-
-class SingularConic(ValueError):
-    pass
-
-
-class PointNotOnConic(ValueError):
-    pass
-
-
-class OddCharacteristic(ValueError):
-    pass
-
-
-class NotIrreducible(ValueError):
-    pass
+from .geom import PointSet, det3, inv3, line_counts, matvec3, projective_plane, tangent_counts
 
 
 class PointClass(enum.Enum):
@@ -192,7 +173,7 @@ class Conic:
 
     def _require_odd(self):
         if self.field.p == 2:
-            raise EvenCharacteristicUnsupported("matrix form needs odd characteristic")
+            raise ValueError("matrix form needs odd characteristic")
 
     def matrix(self):
         self._require_odd()
@@ -230,7 +211,7 @@ class Conic:
         f(P) = 0; internal otherwise."""
         self._require_odd()
         if self.rank() != 3:
-            raise SingularConic("point classification needs an irreducible conic")
+            raise ValueError("point classification needs an irreducible conic")
         F = self.field
         v = self.evaluate(P)
         if v == 0:
@@ -244,7 +225,7 @@ class Conic:
         """int8 per plane point: 0 on the conic, 1 external, -1 internal."""
         self._require_odd()
         if self.rank() != 3:
-            raise SingularConic("point classification needs an irreducible conic")
+            raise ValueError("point classification needs an irreducible conic")
         F = self.field
         vals = eval_many(F, self.coeffs, _monomials(self.plane))
         w = F.mul_table[F.neg(self.det()), vals]
@@ -254,28 +235,36 @@ class Conic:
         """Dual vector of the tangent line at a point of the conic (A.P)."""
         self._require_odd()
         if self.rank() != 3:
-            raise SingularConic("tangents need an irreducible conic")
+            raise ValueError("tangents need an irreducible conic")
         if self.evaluate(P) != 0:
-            raise PointNotOnConic(f"{P} is not on the conic")
+            raise ValueError(f"{P} is not on the conic")
         return self.plane.normalize(matvec3(self.field, self.matrix(), P))
 
     def nucleus(self):
         """Common point of all tangents of an irreducible conic, q even."""
         F = self.field
         if F.p != 2:
-            raise OddCharacteristic("the nucleus exists only in even characteristic")
+            raise ValueError("the nucleus exists only in even characteristic")
         if not self._is_oval():
-            raise NotIrreducible("point set is not an oval")
+            raise ValueError("point set is not an oval")
         # an oval has one tangent at each of its n+1 points
         (common,) = np.flatnonzero(tangent_counts(self.points()) == F.order + 1).tolist()
         return self.plane.point(common)
 
     def transform(self, M):
-        """The conic whose point set is the image of this one under x -> Mx."""
+        """The conic whose point set is the image of this one under x -> Mx,
+        in any characteristic: the form f(M^-1 y) by substitution.  With c_i
+        the columns of M^-1, y_i^2 has coefficient f(c_i) and y_i*y_j has
+        f(c_i + c_j) - f(c_i) - f(c_j), stored halved when p is odd."""
         F = self.field
-        Mi = inv3(F, M)
-        A2 = matmul3(F, transpose3(Mi), matmul3(F, self.matrix(), Mi))
-        return Conic(F, (A2[0][0], A2[1][1], A2[2][2], A2[0][1], A2[0][2], A2[1][2]))
+        cols = list(zip(*inv3(F, M)))
+        diag = [self.evaluate(c) for c in cols]
+        half = F.inv(F.add(1, 1)) if F.p != 2 else 1
+        cross = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            both = self.evaluate([F.add(a, b) for a, b in zip(cols[i], cols[j])])
+            cross.append(F.mul(half, F.sub(F.sub(both, diag[i]), diag[j])))
+        return Conic(F, (*diag, *cross))
 
 
 def canonical_pencil(F: GF, kind: PencilKind, k: int) -> Conic:
@@ -283,7 +272,7 @@ def canonical_pencil(F: GF, kind: PencilKind, k: int) -> Conic:
     hyperbolic 2xy = kz^2, elliptic x^2 - alpha y^2 = kz^2 (alpha the least
     non-square), parabolic 2yz = x^2 + kz^2."""
     if F.p == 2:
-        raise EvenCharacteristicUnsupported("canonical pencils use the factor-2 form")
+        raise ValueError("canonical pencils use the factor-2 form")
     F.require_element(k, "k")
     kind = PencilKind(kind)
     if kind == PencilKind.HYPERBOLIC:

@@ -27,24 +27,12 @@ from .gf import GF
 _LINE_BLOCK_ENTRIES = 1 << 20
 
 
-class UnsupportedDimension(ValueError):
-    pass
-
-
-class CoincidentPoints(ValueError):
-    pass
-
-
-class SingularMatrix(ValueError):
-    pass
-
-
 class ProjectiveSpace:
     """PG(d,n) for d in {2,5} over the field F of order n."""
 
     def __init__(self, F: GF, dim: int):
         if dim not in (2, 5):
-            raise UnsupportedDimension(f"dim {dim} not supported")
+            raise ValueError(f"dim {dim} not supported")
         self.field = F
         self.dim = dim
         m = F.order
@@ -174,10 +162,10 @@ class ProjectiveSpace:
         """The normalised dual vector of the unique line through two distinct
         points of PG(2,n)."""
         if self.dim != 2:
-            raise UnsupportedDimension("lines are only built in PG(2,n)")
+            raise ValueError("lines are only built in PG(2,n)")
         P, Q = tuple(P), tuple(Q)
         if self.normalize(P) == self.normalize(Q):
-            raise CoincidentPoints(f"{P} and {Q} coincide")
+            raise ValueError(f"{P} and {Q} coincide")
         F = self.field
         u = F.sub(F.mul(P[1], Q[2]), F.mul(P[2], Q[1]))
         v = F.sub(F.mul(P[2], Q[0]), F.mul(P[0], Q[2]))
@@ -270,24 +258,10 @@ def matvec3(F: GF, M, v):
     )
 
 
-def matmul3(F: GF, A, B):
-    return tuple(
-        tuple(
-            F.add(F.add(F.mul(A[i][0], B[0][j]), F.mul(A[i][1], B[1][j])), F.mul(A[i][2], B[2][j]))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def transpose3(M):
-    return tuple(tuple(M[j][i] for j in range(3)) for i in range(3))
-
-
 def inv3(F: GF, M):
     det = det3(F, M)
     if det == 0:
-        raise SingularMatrix("matrix is singular")
+        raise ValueError("matrix is singular")
     dinv = F.inv(det)
     cof = [[0] * 3 for _ in range(3)]
     idx = ((1, 2), (0, 2), (0, 1))
@@ -304,7 +278,7 @@ def apply_collineation(space: ProjectiveSpace, M, P):
     """Image of a point of PG(2,n) under an invertible 3x3 matrix."""
     F = space.field
     if det3(F, M) == 0:
-        raise SingularMatrix("collineation matrix is singular")
+        raise ValueError("collineation matrix is singular")
     return space.normalize(matvec3(F, M, P))
 
 

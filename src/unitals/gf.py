@@ -17,22 +17,6 @@ import numpy as np
 TABLE_LIMIT = 4096  # largest order for which dense m x m numpy tables are built
 
 
-class NotPrime(ValueError):
-    pass
-
-
-class ReducibleModulus(ValueError):
-    pass
-
-
-class DegreeMismatch(ValueError):
-    pass
-
-
-class NotASubfieldOrder(ValueError):
-    pass
-
-
 class QuadraticCharacter(enum.Enum):
     ZERO = 0
     NONZERO_SQUARE = 1
@@ -128,7 +112,7 @@ class GF:
 
     def __init__(self, p: int, h: int = 1, modulus=None):
         if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise ValueError(f"{p} is not prime")
         if h < 1:
             raise ValueError("exponent must be positive")
         if p**h > 2**16:
@@ -141,9 +125,9 @@ class GF:
             if bad:
                 raise ValueError(f"modulus coefficient {bad[0]} is not in 0..{p - 1}")
             if len(modulus) != h + 1 or modulus[h] != 1:
-                raise DegreeMismatch(f"modulus must be monic of degree {h}")
+                raise ValueError(f"modulus must be monic of degree {h}")
             if not is_irreducible(p, modulus):
-                raise ReducibleModulus(f"modulus {modulus} factors over GF({p})")
+                raise ValueError(f"modulus {modulus} factors over GF({p})")
         self.p = p
         self.h = h
         self.order = p**h
@@ -288,7 +272,7 @@ class GF:
     def subfield_elements(self, small_order: int):
         """The q fixed points of x -> x^q inside this field of order q^2."""
         if small_order * small_order != self.order:
-            raise NotASubfieldOrder(f"{small_order}^2 != {self.order}")
+            raise ValueError(f"{small_order}^2 != {self.order}")
         q = small_order
         elems = [0] + [self._exp[j * (q + 1)] for j in range(q - 1)]
         return tuple(sorted(elems))

@@ -18,27 +18,11 @@ from .geom import PointSet, line_counts, projective_plane, tangent_counts
 from .gf import GF, _isqrt_exact
 
 
-class NotASquareOrder(ValueError):
-    pass
-
-
-class EvenQ(ValueError):
-    pass
-
-
-class TIsSquare(ValueError):
-    pass
-
-
-class NotAUnital(ValueError):
-    pass
-
-
 def unital_q(F: GF) -> int:
     """q such that the plane order is q^2."""
     q = _isqrt_exact(F.order)
     if q is None:
-        raise NotASquareOrder(f"plane order {F.order} is not a square")
+        raise ValueError(f"plane order {F.order} is not a square")
     return q
 
 
@@ -57,11 +41,11 @@ def behs_unital(F: GF, t: int | None = None):
     t*GF(q), t a fixed non-square.  Returns (point set, conic list)."""
     q = unital_q(F)
     if q % 2 == 0:
-        raise EvenQ("the conic-union construction needs q odd")
+        raise ValueError("the conic-union construction needs q odd")
     if t is None:
         t = min(F.nonsquares())
     if F.is_square(F.require_element(t, "t")):
-        raise TIsSquare(f"t = {t} is a square")
+        raise ValueError(f"t = {t} is a square")
     params = sorted(F.mul(t, u) for u in F.subfield_elements(q))
     conics = [canonical_pencil(F, PencilKind.PARABOLIC, F.neg(a)) for a in params]
     return reduce(or_, (C.points() for C in conics)), conics
@@ -107,7 +91,7 @@ def tangent_structure(S: PointSet) -> TangentReport:
     secants on the unital, q+1 tangents and q^2-q secants off it."""
     report = is_unital(S)
     if not report.is_unital:
-        raise NotAUnital("tangent structure is only defined for unitals")
+        raise ValueError("tangent structure is only defined for unitals")
     q = report.q
     per_point = tangent_counts(S)
     on = S.member

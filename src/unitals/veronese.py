@@ -22,18 +22,10 @@ from .gf import GF
 from .geom import point_array, projective_space, span
 
 
-class RankOne(ValueError):
-    pass
-
-
-class ZeroTriple(ValueError):
-    pass
-
-
 def veronese_point(F: GF, a: int, b: int, c: int):
     """Normalised image (a^2,b^2,c^2,ab,ac,bc) of a nonzero triple."""
     if a == 0 and b == 0 and c == 0:
-        raise ZeroTriple("the zero triple has no Veronese image")
+        raise ValueError("the zero triple has no Veronese image")
     mul = F.mul
     v = (mul(a, a), mul(b, b), mul(c, c), mul(a, b), mul(a, c), mul(b, c))
     return projective_space(F, 5).normalize(v)
@@ -65,7 +57,7 @@ def cone_contains(C: Conic, Q) -> bool:
     line P(C)Q meets V (line-scan, n+1 rank tests)."""
     F = C.field
     if F.p != 2 and C.rank() <= 1:
-        raise RankOne("rank-1 conics are points of V, not cone apices")
+        raise ValueError("rank-1 conics are points of V, not cone apices")
     space = projective_space(F, 5)
     apex = space.normalize(C.coeffs)
     Qn = space.normalize(tuple(Q))
@@ -138,7 +130,7 @@ def cone_residual_intersection(C: Conic, partners, method: str = "direct"):
         if C == D:
             raise ValueError("cones of a single conic")
     if F.p != 2 and any(E.rank() != 3 for E in [C, *partners]):
-        raise RankOne("residual intersection needs irreducible conics")
+        raise ValueError("residual intersection needs irreducible conics")
     space = projective_space(F, 5)
 
     if method == "direct":

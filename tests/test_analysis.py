@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitals import analysis
 from unitals.analysis import (
-    CoincidentConics,
-    FieldTooSmall,
+    NotStated,
     PencilType,
     admissible_ks,
     canonical_case_pair,
@@ -30,10 +29,10 @@ from unitals.analysis import (
     _unique_tangents,
 )
 from unitals.cli import _prime_power
-from unitals.conic import Conic, PencilKind, SingularConic, _monomials, canonical_pencil
+from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil
 from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field, nullspace
-from unitals.unital import NotAUnital, behs_unital, hermitian_unital, unital_q
+from unitals.unital import behs_unital, hermitian_unital, unital_q
 
 
 def test_classify_pair_canonical_cases():
@@ -161,9 +160,9 @@ def test_hypothesis_matrix_matches_classify_point(spec):
 def test_classify_pair_errors():
     F = field(3, 2)
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-    with pytest.raises(CoincidentConics):
+    with pytest.raises(ValueError, match="the two conics coincide"):
         classify_pair(C, C)
-    with pytest.raises(SingularConic):
+    with pytest.raises(ValueError, match="pencil classification needs irreducible conics"):
         classify_pair(C, Conic(F, (0, 0, 1, 0, 0, 0)))
 
 
@@ -576,8 +575,10 @@ def test_anchor_pairs_complexity_guard(q, behs, herm):
 
 
 def test_verify_afkl_guard():
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(NotStated, match="stated for orders >= 17, got 9"):
         verify_afkl(field(3, 2))
+    with pytest.raises(NotStated, match="the trichotomy concerns odd order"):
+        verify_afkl(field(2, 6))
 
 
 def test_verify_afkl_n25():
@@ -659,7 +660,7 @@ def test_certify_requires_unital():
 
     F = field(3, 2)
     plane = projective_plane(F)
-    with pytest.raises(NotAUnital):
+    with pytest.raises(ValueError, match="certificate requires a verified unital"):
         certify_union_of_conics(PointSet.from_indices(plane, range(28)))
 
 

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import hashlib
 import io
@@ -284,6 +285,23 @@ def test_only_cli_speaks_json():
         assert path.name == "cli.py" or "json" not in imported, path.name
 
 
+def test_not_stated_is_the_only_exception_class():
+    # every other refusal is a plain ValueError, so report-all, which skips
+    # NotStated alone, cannot mistake a library refusal for an unstated claim
+    builtin = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes = [
+        node
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {c.name: {getattr(b, "id", getattr(b, "attr", None)) for b in c.bases} for c in classes}
+    found = set()
+    for _ in classes:  # a subclass of a class found so far is found next round
+        found = {name for name, names in bases.items() if names & (builtin | found)}
+    assert found == {"NotStated"}
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -447,14 +465,36 @@ def test_report_all_text_and_exit(capsys):
     assert any(line.startswith("SKIP") and "afkl" in line for line in lines)
 
 
+# `report-all --q q --seed 7`, each skip reason byte for byte
+_EVEN_Q_DIGESTS = {
+    "2": "94a6b4f9962caba5527f782a4b9cb85e0cf79da20f5a7be929bcb24c2071f627",
+    "4": "290f1bf49f2a8adacb28a126f0c8ca31e05147ab782f1997728b2dc3295ce9bb",
+    "8": "89c17e87b13d7fff27dade37d39997ba2ed4d8f7630fd7e7153915158c4b8953",
+}
+
+
 @pytest.mark.parametrize("q", ["2", "4", "8"])
 def test_report_all_even_q(capsys, q):
     # the conic claims run in every characteristic; the odd-q claims are skipped
-    code, rep = run_json(capsys, "report-all", "--q", q)
+    code, out = run_cli(capsys, "report-all", "--q", q, "--seed", "7")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EVEN_Q_DIGESTS[q]
+    rep = json.loads(out)
     status = {(c["claim"], c.get("case")): c["ok"] for c in rep["claims"]}
     assert [k for k, ok in status.items() if ok] == [("unital", None), ("main", None), ("nucleus", None)]
     assert rep["summary"] == {"total": 10, "verified": 3, "violated": 0, "skipped": 7}
+
+
+def test_refusal_inside_a_claim_is_not_a_skip(capsys, monkeypatch):
+    # a library refusal that fires inside a claim ends the run with status 2;
+    # only NotStated marks a claim skipped
+    def run_main_claim(F):
+        return Conic(F, (1, 0, 0, 0, 0, 1)).matrix()
+
+    monkeypatch.setattr(cli, "run_main_claim", run_main_claim)
+    assert main(["report-all", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: matrix form needs odd characteristic\n"
 
 
 def test_report_all_deterministic(capsys):

@@ -9,16 +9,13 @@ from hypothesis import given, settings, strategies as st
 from unitals import geom
 from unitals.gf import field
 from unitals.geom import (
-    CoincidentPoints,
     PointSet,
     ProjectiveSpace,
-    SingularMatrix,
-    UnsupportedDimension,
     apply_collineation,
     det3,
     inv3,
     line_counts,
-    matmul3,
+    matvec3,
     point_array,
     projective_plane,
     projective_space,
@@ -32,7 +29,7 @@ def test_point_counts():
     assert projective_plane(field(3)).npoints == 13
     assert projective_plane(field(3, 2)).npoints == 91
     assert projective_space(field(3, 2), 5).npoints == 66430
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(ValueError, match="dim 3 not supported"):
         projective_space(field(3), 3)
 
 
@@ -116,9 +113,9 @@ def test_line_through_examples():
     pg3 = projective_plane(field(3))
     L = pg3.line_through((1, 1, 1), (1, 2, 0))
     assert len(pg3.points_on_line(L)) == 4
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(ValueError, match="coincide"):
         pg3.line_through((1, 2, 0), (1, 2, 0))
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(ValueError, match=r"lines are only built in PG\(2,n\)"):
         projective_space(field(3), 5).line_through((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
 
 
@@ -177,13 +174,14 @@ def test_collineations():
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for i in (0, 5, 90):
         assert apply_collineation(plane, ident, plane.point(i)) == plane.point(i)
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="collineation matrix is singular"):
         apply_collineation(plane, ((1, 0, 0), (0, 1, 0), (1, 1, 0)), (1, 0, 0))
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^matrix is singular"):
         inv3(F, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))  # determinant 3 = 0 mod 3
     M = ((1, 2, 0), (0, 1, 1), (1, 0, 2))
     assert det3(F, M) != 0
-    assert matmul3(F, M, inv3(F, M)) == ident
+    Mi = inv3(F, M)
+    assert tuple(zip(*(matvec3(F, M, col) for col in zip(*Mi)))) == ident
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 2), (7, 2)])

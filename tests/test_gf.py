@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitals.gf import (
     GF,
-    DegreeMismatch,
-    NotASubfieldOrder,
-    NotPrime,
     QuadraticCharacter,
-    ReducibleModulus,
     default_modulus,
     field,
     is_irreducible,
@@ -52,13 +48,13 @@ def test_construction_basic():
 
 
 def test_construction_errors():
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match="6 is not prime"):
         GF(6, 1)
-    with pytest.raises(ReducibleModulus):
+    with pytest.raises(ValueError, match=r"factors over GF\(3\)"):
         GF(3, 2, (0, 2, 1))  # x^2 + 2x = x(x+2)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ValueError, match="modulus must be monic of degree 2"):
         GF(3, 2, (1, 1))
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ValueError, match="modulus must be monic of degree 2"):
         GF(3, 2, (1, 0, 0, 1))
     # each is congruent mod 3 to the irreducible (1,0,1) or (2,0,1), and none
     # may be read as it
@@ -183,7 +179,7 @@ def test_subfield_elements():
         for b in sub:
             assert F25.add(a, b) in sub
             assert F25.mul(a, b) in sub
-    with pytest.raises(NotASubfieldOrder):
+    with pytest.raises(ValueError, match=r"4\^2 != 9"):
         F9.subfield_elements(4)
 
 

@@ -6,10 +6,6 @@ from unitals.conic import PencilKind, canonical_pencil
 from unitals.geom import PointSet, projective_plane
 from unitals.gf import field
 from unitals.unital import (
-    EvenQ,
-    NotASquareOrder,
-    NotAUnital,
-    TIsSquare,
     behs_unital,
     hermitian_unital,
     is_unital,
@@ -136,19 +132,19 @@ def test_random_set_is_not_a_unital():
     S = PointSet.from_indices(plane, rng.sample(range(plane.npoints), 28))
     rep = is_unital(S)
     assert not rep.is_unital and rep.failures
-    with pytest.raises(NotAUnital):
+    with pytest.raises(ValueError, match="tangent structure is only defined for unitals"):
         tangent_structure(S)
 
 
 def test_errors():
-    with pytest.raises(NotASquareOrder):
+    with pytest.raises(ValueError, match="plane order 3 is not a square"):
         hermitian_unital(field(3))
-    with pytest.raises(NotASquareOrder):
+    with pytest.raises(ValueError, match="plane order 5 is not a square"):
         unital_q(field(5, 1))
-    with pytest.raises(EvenQ):
+    with pytest.raises(ValueError, match="the conic-union construction needs q odd"):
         behs_unital(field(2, 2))
     F = field(3, 2)
-    with pytest.raises(TIsSquare):
+    with pytest.raises(ValueError, match="t = 1 is a square"):
         behs_unital(F, 1)
 
 
