@@ -39,6 +39,10 @@ class ProjectiveSpace:
         self.npoints = sum(m**k for k in range(dim + 1))
         # block of points whose leading one sits at position i starts here
         self._offsets = [(m ** (dim - i) - 1) // (m - 1) for i in range(dim + 1)]
+        # index_rows reads a normalised row's digits in base m; the leading
+        # digit 1 at position i gives way to the block offset
+        weights = m ** np.arange(dim, -1, -1, dtype=np.int64)
+        self._lead_shift = np.array(self._offsets, dtype=np.int64) - weights
         self._coords_array = None
         self._point_cache = None
         if dim == 2:
@@ -104,21 +108,33 @@ class ProjectiveSpace:
 
     def index_rows(self, rows):
         """Canonical indices (int64) of the points spanned by the rows of an
-        (m, dim+1) array of field elements: normalize and index, row by row,
-        in numpy.  A zero row spans no point and raises ValueError."""
+        (m, dim+1) array: normalize and index, row by row, in numpy.  Every
+        entry must be a field element, 0..n-1, and every row nonzero; a
+        zero row spans no point, and either fault raises ValueError.  Each
+        row is scaled by the inverse of its leading entry through one
+        gather per coordinate from the flat multiplication table."""
         F = self.field
-        m, d = F.order, self.dim
+        m = F.order
         rows = np.asarray(rows)
+        # the flat gather below would read a neighbouring entry for an
+        # out-of-range one, so the range is checked first
+        if len(rows) and (rows.min() < 0 or rows.max() >= m):
+            bad = rows[(rows < 0) | (rows >= m)][0]
+            raise ValueError(f"entry {bad} is not a field element (0..{m - 1})")
         lead = (rows != 0).argmax(axis=1)
         leading = rows[np.arange(len(rows)), lead]
         if not leading.all():
             raise ValueError(f"row {int(np.argmin(leading))} is zero and spans no projective point")
-        scale = F.inv_table[leading]
-        weights = m ** np.arange(d, -1, -1, dtype=np.int64)
-        # the leading coordinate scales to 1, which the block offset replaces
-        idx = np.asarray(self._offsets, dtype=np.int64)[lead] - weights[lead]
-        for t in range(d + 1):
-            idx += F.mul_table[scale, rows[:, t]].astype(np.int64) * weights[t]
+        # mul(inv, x) sits at inv*m + x of the flat table; narrow indices
+        # (< m^2) gather faster than mul_table[inv, x]
+        wide = np.uint16 if m <= 256 else np.uint32
+        base = F.inv_table[leading].astype(wide) * m
+        mulf = F.mul_table.ravel()
+        idx = mulf[base + rows[:, 0]].astype(np.int64)
+        for t in range(1, self.dim + 1):
+            idx *= m
+            idx += mulf[base + rows[:, t]]
+        idx += self._lead_shift[lead]
         return idx
 
     # -- lines -----------------------------------------------------------------

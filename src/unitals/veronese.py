@@ -86,13 +86,17 @@ def _cone_hits_block(F: GF, coeffs, coords):
 def cone_point_indices(C: Conic):
     """Sorted PG(5,n) indices of the full cone of C, built directly: the
     lines from the apex to every Veronese point v, that is v and every
-    point apex + lambda*v (the apex itself at lambda = 0)."""
+    point apex + lambda*v (the apex itself at lambda = 0).  Such a row
+    vanishes only when v is the apex's own point, so zero rows occur, and
+    are dropped, only for a rank-1 apex, a point of V; the rows of an
+    apex of higher rank are never scanned for them."""
     F = C.field
     V = quadratic_rows(F, point_array(F.order, 2))
     rows = span(F, C.coeffs, V).reshape(-1, 6)
-    # apex + lambda*v vanishes only for v on the apex itself (a rank-1 apex)
-    rows = rows[rows.any(axis=1)]
-    idx = np.sort(projective_space(F, 5).index_rows(rows))
+    if symmetric_rank_leq1(F, C.coeffs):
+        rows = rows[rows.any(axis=1)]
+    idx = projective_space(F, 5).index_rows(rows)
+    idx.sort()
     # drop repeats (the apex, and points on lines meeting V twice); sorting
     # and comparing neighbours is much faster here than np.unique
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]

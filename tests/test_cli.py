@@ -540,6 +540,16 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cone_residual_q9_stdout_is_byte_identical(capsys):
+    # case 1 at plane order 81: its cones have 538,084 points, about 33
+    # times as many as at q = 5
+    assert main(["cone-residual", "--q", "9", "--case", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5d99d2b80b716843954283a134d8e4c24c2ec873d677b19e931bd2b485cd9af"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

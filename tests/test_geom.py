@@ -60,20 +60,36 @@ def test_coords_array_matches_scalar_points(p, h, d):
     assert [tuple(int(x) for x in row) for row in arr] == [space._point(i) for i in range(space.npoints)]
 
 
-@pytest.mark.parametrize("p,h,d", [(3, 2, 5), (2, 3, 5), (5, 1, 2)])
+@pytest.mark.parametrize("p,h,d", [(3, 2, 5), (2, 3, 5), (5, 1, 2), (5, 2, 5), (17, 2, 5)])
 def test_index_rows_matches_normalize_and_index(p, h, d):
+    # rows in the field's own dtype: uint16 at order 289, where the flat
+    # gather's indices widen to uint32
     F = field(p, h)
     space = projective_space(F, d)
     rng = random.Random(p * h * d)
     rows = [tuple(rng.randrange(F.order) for _ in range(d + 1)) for _ in range(2000)]
+    # a leading entry other than 1 in every position
+    rows += [
+        (0,) * t + (rng.randrange(2, F.order),) + tuple(rng.randrange(F.order) for _ in range(d - t))
+        for t in range(d + 1)
+        for _ in range(50)
+    ]
     rows = [r for r in rows if any(r)]
-    got = space.index_rows(np.array(rows, dtype=np.uint8))
+    got = space.index_rows(np.array(rows, dtype=F.mul_table.dtype))
     assert got.tolist() == [space.index(space.normalize(r)) for r in rows]
     # a zero row spans no point: refused, not wrapped round to a real index
     zero = (0,) * (d + 1)
     for bad in ([zero], rows[:3] + [zero] + rows[3:6]):
         with pytest.raises(ValueError):
-            space.index_rows(np.array(bad, dtype=np.uint8))
+            space.index_rows(np.array(bad, dtype=F.mul_table.dtype))
+    # an entry outside 0..n-1 is refused, not read from a neighbouring
+    # table entry or wrapped round
+    for bad in (-1, F.order):
+        for t in (0, d):
+            wrong = np.array(rows[:4], dtype=np.int64)
+            wrong[2, t] = bad
+            with pytest.raises(ValueError, match=f"entry {bad} is not a field element"):
+                space.index_rows(wrong)
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2)])

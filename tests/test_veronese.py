@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,24 @@ def test_direct_cone_matches_sweep(p, h):
     apexes += [Conic(F, veronese_point(F, *t)) for t in ((1, 0, 0), (1, 1, 1), (0, 1, rng.randrange(1, n)))]
     for C in apexes:
         assert np.array_equal(cone_point_indices(C), swept_cone_indices(C)), C
+
+
+def test_cone_build_peaks_within_six_spans():
+    # the direct build at order 81 reads 544,726 span rows, a 3.3 MB
+    # (rows, 6) array; its temporaries stay within 6x that
+    F = field(3, 4)
+    n = F.order
+    C, _ = canonical_case_pair(F, 1, admissible_ks(F, 1)[0])
+    span_bytes = (n * n + n + 1) * (n + 1) * 6 * F.mul_table.itemsize
+    cone_point_indices(C)  # field tables and the memoised PG(5,n) built untraced
+    tracemalloc.start()
+    try:
+        cone = cone_point_indices(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cone) == 538084
+    assert peak <= 6 * span_bytes
 
 
 def test_residual_rejects_bad_input():
