@@ -44,13 +44,14 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 import numpy as np
 
 from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
-from .geom import PointSet, det3, line_counts, projective_plane, projective_space, span, tangent_lines
-from .gf import GF, QuadraticCharacter, _isqrt_exact, nullspace
+from .geom import PointSet, det3, line_counts, projective_space, span, tangent_lines
+from .gf import GF, QuadraticCharacter, _isqrt_exact
 from .unital import is_unital
 from .veronese import veronese_point
 
@@ -81,10 +82,11 @@ def no_external_points(C: Conic, pts_d: PointSet) -> bool:
     return not (C.classify_array()[pts_d.member] == 1).any()
 
 
-def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: PointSet | None = None) -> PencilReport:
+def classify_pair(C: Conic, D: Conic) -> PencilReport:
     """Intersection pattern, pencil type and rank-1 member of a pair of
     distinct irreducible conics, plus whether D\\C avoids the external
-    points of C."""
+    points of C.  The common points, in canonical order, are read off the
+    plane's coordinate array with the conics' own point sets."""
     F = C.field
     if F != D.field:
         raise ValueError("conics live over different fields")
@@ -92,12 +94,8 @@ def classify_pair(C: Conic, D: Conic, pts_c: PointSet | None = None, pts_d: Poin
         raise ValueError("the two conics coincide")
     if C.rank() != 3 or D.rank() != 3:
         raise ValueError("pencil classification needs irreducible conics")
-    plane = C.plane
-    if pts_c is None:
-        pts_c = C.points()
-    if pts_d is None:
-        pts_d = D.points()
-    common = [plane.point(i) for i in (pts_c & pts_d).indices()]
+    pts_d = D.points()
+    common = list(map(tuple, C.plane.coords_array()[C.points().member & pts_d.member].tolist()))
     # the pencil's n+1 members, in span order; the first of rank 1 is reported
     members = span(F, C.coeffs, D.coeffs)
     hits = np.flatnonzero(rank1_rows(F, members))
@@ -380,8 +378,8 @@ def conics_contained(S: PointSet, method: str = "auto"):
         return _conics_contained_pencils(S, tangents)
     if method == "pencil":
         raise ValueError("some point of S has no unique tangent line")
-    if method == "auto" and S.space.field.order > 25:
-        raise ValueError("no unique tangents and plane too large for the exhaustive sweep")
+    if S.space.field.order > 25:
+        raise ValueError(f"plane order {S.space.field.order} is above 25, too large for the exhaustive sweep")
     return _conics_contained_exhaustive(S)
 
 
@@ -522,7 +520,6 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
         raise NotStated(f"the trichotomy is stated for orders >= 17, got {n}")
     if F.p == 2:
         raise NotStated("the trichotomy concerns odd order")
-    plane = projective_plane(F)
     conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k) for k in F.units()]
     conics += [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
@@ -537,7 +534,7 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     reps = (classify_pair(conics[i], conics[j]) for i, j in zip(*np.nonzero(hyp)))
     violations = [rep for rep in reps if rep.ptype == PencilType.OTHER]
     rng = random.Random(seed)
-    # each admissible case pair is built once, and its conics keep their points
+    # each admissible case pair is built once
     cases = [[canonical_case_pair(F, c, k) for k in admissible_ks(F, c)] for c in (1, 2, 3)]
     cases = [pairs for pairs in cases if pairs]
     sampled = 0
@@ -546,16 +543,14 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
         C0, D0 = pairs[rng.randrange(len(pairs))]
         M = random_invertible(F, rng)
         C1, D1 = C0.transform(M), D0.transform(M)
-        pc = _transform_points(plane, M, C0.points())
-        pd = _transform_points(plane, M, D0.points())
         sampled += 1
-        rep = classify_pair(C1, D1, pc, pd)
+        rep = classify_pair(C1, D1)
         # admissible-case pairs satisfy the hypothesis in both directions,
         # so here the symmetric conclusion is part of the assertion
         if (
             not rep.hypothesis_holds
             or rep.ptype == PencilType.OTHER
-            or not no_external_points(D1, pc)
+            or not no_external_points(D1, C1.points())
         ):
             violations.append(rep)
     return AfklReport(n, checked, hyp_pairs, sym_pairs, sampled, violations, not violations)
@@ -583,15 +578,15 @@ class UnionCertificate:
 
 def _pencil_parameter(F: GF, base, tangent_sq, Ci: Conic):
     """Parameter a with Ci ~ base + a * tangent_sq, or None when Ci is not
-    in that pencil."""
-    rows = [(base[r], tangent_sq[r], F.neg(Ci.coeffs[r])) for r in range(6)]
-    ns = nullspace(F, rows)
-    if len(ns) != 1:
+    in that pencil.  ``span(F, base, tangent_sq)`` lists tangent_sq, then
+    base + a * tangent_sq for a = 0, 1, ..., n-1, so a is Ci's position in
+    that list less one; tangent_sq itself has no parameter."""
+    space5 = projective_space(F, 5)
+    members = space5.index_rows(span(F, base, tangent_sq))
+    hits = np.flatnonzero(members == space5.index(Ci.coeffs))
+    if len(hits) == 0 or hits[0] == 0:
         return None
-    mu, a, rho = ns[0]
-    if mu == 0 or rho == 0:
-        return None
-    return F.div(a, mu)
+    return int(hits[0]) - 1
 
 
 def certify_union_of_conics(S: PointSet) -> UnionCertificate:
@@ -604,91 +599,57 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     whose nonzero members all have non-square character after the
     determinant normalisation.  For even q the search finds no conic, as it
     must: a contained conic's nucleus would collect q^2+1 tangent lines.
+    The certificate is made once; each step sets the fields it establishes.
     """
     report = is_unital(S)
     if not report.is_unital:
         raise ValueError("certificate requires a verified unital")
-    plane = S.space
-    F = plane.field
+    F = S.space.field
     q = report.q
-    odd = F.p != 2
     conics = conics_contained(S)
+    odd = F.p != 2
+    cert = UnionCertificate(q, odd, False, None, conics)
     if not conics:
         note = "no conics contained in the unital" if odd else (
             "no irreducible conic lies in the unital; a contained conic would "
             f"put q^2+1 = {q*q+1} tangents through its nucleus, but at most q+1 = {q+1} "
             "tangents meet in any point"
         )
-        return UnionCertificate(q, odd, False, None, [], notes=[note])
+        cert.notes = [note]
+        return cert
     uncovered = (S - reduce(or_, (C.points() for C in conics))).indices()
-    covered = not uncovered
-    if not covered:
-        return UnionCertificate(q, odd, False, None, conics, uncovered=uncovered)
+    if uncovered:
+        cert.uncovered = uncovered
+        return cert
+    cert.covered = True
 
-    pair_types = []
-    base_idx = None
-    structure_ok = True
-    for i in range(len(conics)):
-        for j in range(i + 1, len(conics)):
-            rep = classify_pair(conics[i], conics[j])
-            pair_types.append(rep.ptype.value)
-            if rep.ptype != PencilType.HYPEROSCULATING or not rep.hypothesis_holds:
-                structure_ok = False
-                continue
-            b = plane.index(rep.common_points[0])
-            if base_idx is None:
-                base_idx = b
-            elif base_idx != b:
-                structure_ok = False
-    if not structure_ok or base_idx is None:
-        return UnionCertificate(
-            q, odd, covered, None, conics, pair_types=pair_types,
-            notes=["pairwise structure is not a hyperosculating family with one base point"],
-        )
-    base = plane.point(base_idx)
-    tangent = conics[0].tangent_at(base)
-    if any(C.tangent_at(base) != tangent for C in conics[1:]):
-        return UnionCertificate(
-            q, odd, covered, None, conics, base_point=base, pair_types=pair_types,
-            notes=["contained conics do not share the tangent at the base point"],
-        )
+    pairs = [classify_pair(C, D) for C, D in combinations(conics, 2)]
+    cert.pair_types = [rep.ptype.value for rep in pairs]
+    stray = any(rep.ptype != PencilType.HYPEROSCULATING or not rep.hypothesis_holds for rep in pairs)
+    bases = {P for rep in pairs for P in rep.common_points}
+    if stray or len(bases) != 1:
+        cert.notes = ["pairwise structure is not a hyperosculating family with one base point"]
+        return cert
+    (cert.base_point,) = bases
+    tangent = conics[0].tangent_at(cert.base_point)
+    if any(C.tangent_at(cert.base_point) != tangent for C in conics[1:]):
+        cert.notes = ["contained conics do not share the tangent at the base point"]
+        return cert
+    cert.tangent = tangent
     tangent_sq = veronese_point(F, *tangent)
-    base_conic = conics[0]
-    params = []
-    for C in conics:
-        a = _pencil_parameter(F, base_conic.coeffs, tangent_sq, C)
-        if a is None:
-            return UnionCertificate(
-                q, odd, covered, None, conics, base_point=base, tangent=tangent,
-                pair_types=pair_types, notes=["contained conics do not lie in one pencil"],
-            )
-        params.append(a)
-    params_sorted = sorted(params)
-    t = next((x for x in params_sorted if x), None)
-    coset_ok = (
-        len(params) == q
-        and len(set(params)) == q
-        and 0 in params
-        and t is not None
-        and set(params) == {F.mul(t, u) for u in F.subfield_elements(q)}
-    )
-    det0 = base_conic.det()
-    chars_ok = all(
+    params = [_pencil_parameter(F, conics[0].coeffs, tangent_sq, C) for C in conics]
+    if None in params:
+        cert.notes = ["contained conics do not lie in one pencil"]
+        return cert
+    cert.parameters = sorted(params)
+    t = next((x for x in cert.parameters if x), None)
+    cert.parameter_coset_ok = t is not None and set(params) == {F.mul(t, u) for u in F.subfield_elements(q)}
+    det0 = conics[0].det()
+    cert.parameter_characters_ok = all(
         F.quadratic_character(F.mul(det0, x)) == QuadraticCharacter.NON_SQUARE
-        for x in params_sorted
+        for x in cert.parameters
         if x
     )
-    signature = "BEHS" if (coset_ok and chars_ok) else None
-    return UnionCertificate(
-        q,
-        odd,
-        covered,
-        signature,
-        conics,
-        base_point=base,
-        tangent=tangent,
-        parameters=params_sorted,
-        parameter_coset_ok=coset_ok,
-        parameter_characters_ok=chars_ok,
-        pair_types=pair_types,
-    )
+    if cert.parameter_coset_ok and cert.parameter_characters_ok:
+        cert.signature = "BEHS"
+    return cert

@@ -12,8 +12,10 @@ place that counts its tangent lines through each point.  PG(5,n) has no
 line objects: a line there is the n+1 points ``span`` gives for a point
 pair, indexed with ``index_rows``.
 
-Everything here is immutable after construction; the line table and the
-membership arrays are read-only.
+Nothing is kept per point: a space holds its coordinate array
+(``coords_array``) and, for PG(2,n), its line table, and ``point`` decodes
+one index at a time.  Everything here is immutable after construction;
+the line table and the membership arrays are read-only.
 """
 
 from functools import lru_cache
@@ -44,9 +46,7 @@ class ProjectiveSpace:
         weights = m ** np.arange(dim, -1, -1, dtype=np.int64)
         self._lead_shift = np.array(self._offsets, dtype=np.int64) - weights
         self._coords_array = None
-        self._point_cache = None
         if dim == 2:
-            self._point_cache = tuple(map(tuple, self.coords_array().tolist()))
             self.lines = self._build_lines()
 
     def __repr__(self):
@@ -77,11 +77,6 @@ class ProjectiveSpace:
 
     def point(self, idx: int):
         """Normalised coordinates of the point with the given index."""
-        if self._point_cache is not None:
-            return self._point_cache[idx]
-        return self._point(idx)
-
-    def _point(self, idx: int):
         m, d = self.field.order, self.dim
         # offsets decrease with the leading position; pick the block containing idx
         lead = next(i for i in range(d + 1) if idx >= self._offsets[i])
@@ -95,9 +90,7 @@ class ProjectiveSpace:
 
     def points(self):
         """All points in canonical order."""
-        if self._point_cache is not None:
-            return list(self._point_cache)
-        return [self._point(i) for i in range(self.npoints)]
+        return [self.point(i) for i in range(self.npoints)]
 
     def coords_array(self):
         """(npoints, dim+1) numpy array of all normalised points, cached; its

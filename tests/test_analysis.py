@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from functools import reduce
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitals import analysis
+from unitals import analysis, cli
 from unitals.analysis import (
     NotStated,
     PencilType,
@@ -33,6 +35,7 @@ from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil
 from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field, nullspace
 from unitals.unital import behs_unital, hermitian_unital, unital_q
+from unitals.veronese import veronese_point
 
 
 def test_classify_pair_canonical_cases():
@@ -662,6 +665,91 @@ def test_certify_requires_unital():
     plane = projective_plane(F)
     with pytest.raises(ValueError, match="certificate requires a verified unital"):
         certify_union_of_conics(PointSet.from_indices(plane, range(28)))
+
+
+def _pencil_parameter_by_null_space(F, base, tangent_sq, Ci):
+    # the reference: mu*base + a*tangent_sq = rho*Ci as a 6x3 null space,
+    # one solution with mu and rho nonzero giving a/mu
+    rows = [(base[r], tangent_sq[r], F.neg(Ci.coeffs[r])) for r in range(6)]
+    ns = nullspace(F, rows)
+    if len(ns) != 1:
+        return None
+    mu, a, rho = ns[0]
+    if mu == 0 or rho == 0:
+        return None
+    return F.div(a, mu)
+
+
+@pytest.mark.parametrize("spec", [(3, 1), (2, 2), (3, 2), (13, 1), (2, 4), (5, 2), (7, 2)])
+def test_pencil_parameter_matches_null_space(spec):
+    # seeded (base, L^2, Ci): every odd draw a pencil member base + a*L^2,
+    # every fifth of those L^2 itself, which has no parameter
+    F = field(*spec)
+    space5 = projective_space(F, 5)
+    rng = random.Random(F.order)
+    members = squares = 0
+    for trial in range(80):
+        triple = (0, 0, 0)
+        while not any(triple):
+            triple = tuple(rng.randrange(F.order) for _ in range(3))
+        tangent_sq = veronese_point(F, *triple)
+        base = tangent_sq
+        while base == tangent_sq:
+            base = space5.point(rng.randrange(space5.npoints))
+        a = rng.randrange(F.order)
+        if trial % 10 == 1:
+            Ci = Conic(F, tangent_sq)
+            squares += 1
+        elif trial % 2:
+            Ci = Conic(F, [F.add(b, F.mul(a, t)) for b, t in zip(base, tangent_sq)])
+            members += 1
+        else:
+            Ci = Conic(F, space5.point(rng.randrange(space5.npoints)))
+        want = _pencil_parameter_by_null_space(F, base, tangent_sq, Ci)
+        assert analysis._pencil_parameter(F, base, tangent_sq, Ci) == want
+        if trial % 2:
+            assert want == (None if trial % 10 == 1 else a)
+    assert members == 32 and squares == 8
+
+
+# sha256 of the certificate's JSON on each of its return paths
+_CERT_DIGESTS = {
+    "no_conics_odd": "edbe0a4353094281606016bd2e0a84444933c6f6d13460b37c3565bc79d94c28",
+    "no_conics_even": "f0ced318935b7f217b4e28ccb81dc28d94099de7f1e8920ba4d47eebe5cb2be9",
+    "uncovered": "41030f5cc42cf0a7a868c1951ac57af966b6a15a35f2c7a328556bd4fda0e3ec",
+    "pairwise_structure": "9f1851c588de1456305f91ad98ca849f02e32afaebdade519a22dd5c8a9ef411",
+    "shared_tangent": "95b23a81fd5584f68a53e83cf7c0fa653f7807722a9086421ec40d286334b810",
+    "one_pencil": "251127c033e0f2fcecbeb66c0198e986948bc7da482c5ae061b995f631980cf3",
+    "behs": "dd84d810a8751943699d0c55d53a4b4cbd264486dae041b3f7df5522ad2c9ef1",
+}
+
+
+@pytest.mark.parametrize("path", sorted(_CERT_DIGESTS))
+def test_certificate_return_paths_are_byte_identical(monkeypatch, path):
+    # the BEHS unital at q=3, bent onto each path: no consistent list of
+    # conics reaches the tangent and pencil paths, so those two patch one
+    # non-first conic's tangent or pencil parameter
+    F = field(3, 2)
+    U, conics = behs_unital(F)
+    if path == "no_conics_odd":
+        U = hermitian_unital(F)
+    elif path == "no_conics_even":
+        U = hermitian_unital(field(2, 2))
+    elif path == "uncovered":
+        monkeypatch.setattr(analysis, "conics_contained", lambda S: conics[:-1])
+    elif path == "pairwise_structure":
+        extra = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
+        monkeypatch.setattr(analysis, "conics_contained", lambda S: conics + [extra])
+    elif path == "shared_tangent":
+        tangent_at = Conic.tangent_at
+        bent = lambda C, P: (1, 0, 0) if C == conics[1] else tangent_at(C, P)
+        monkeypatch.setattr(Conic, "tangent_at", bent)
+    elif path == "one_pencil":
+        parameter = analysis._pencil_parameter
+        bent = lambda F, base, sq, C: None if C == conics[1] else parameter(F, base, sq, C)
+        monkeypatch.setattr(analysis, "_pencil_parameter", bent)
+    text = json.dumps(certify_union_of_conics(U), default=cli._jsonable)
+    assert hashlib.sha256(text.encode()).hexdigest() == _CERT_DIGESTS[path], text
 
 
 def test_pairs_inside_unital_satisfy_hypothesis_both_ways():

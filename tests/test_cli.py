@@ -236,6 +236,7 @@ def test_usage_errors(capsys):
         "check --claim lemma1 --q 4",
         "check --claim lemma2 --q 2",
         "check --claim lemma2 --q 4",
+        "enum-conics --q 9 --method exhaustive --kind hermitian",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -260,6 +261,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert "orders >= 17" in captured.err
     if "lemma" in argv:
         assert "concern odd q" in captured.err
+    if "exhaustive" in argv:
+        assert "plane order 81 is above 25" in captured.err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

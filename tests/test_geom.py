@@ -57,7 +57,7 @@ def test_coords_array_matches_scalar_points(p, h, d):
     space = projective_space(field(p, h), d)
     arr = space.coords_array()
     assert arr.shape == (space.npoints, d + 1)
-    assert [tuple(int(x) for x in row) for row in arr] == [space._point(i) for i in range(space.npoints)]
+    assert [tuple(int(x) for x in row) for row in arr] == [space.point(i) for i in range(space.npoints)]
 
 
 @pytest.mark.parametrize("p,h,d", [(3, 2, 5), (2, 3, 5), (5, 1, 2), (5, 2, 5), (17, 2, 5)])
@@ -281,16 +281,18 @@ def test_line_table_blocks_do_not_change_it(monkeypatch):
 
 def test_line_table_build_peaks_near_the_table_size():
     # the table is written a block of duals at a time: building PG(2,121),
-    # a 7 MB table, allocates at most as much again besides it
+    # a 7 MB table, allocates at most as much again besides it, and the
+    # plane keeps its line table and coordinate array and nothing per point
     F = field(11, 2)
     tracemalloc.start()
     try:
         plane = ProjectiveSpace(F, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert plane.lines.nbytes == 14763 * 122 * 4
     assert peak <= 2 * plane.lines.nbytes
+    assert kept <= 1.02 * (plane.lines.nbytes + plane.coords_array().nbytes)
 
 
 # PG(5,n) at orders 2 to 25, and the planes on either side of the move of
@@ -315,7 +317,7 @@ def test_coordinates_indices_and_rows_round_trip(round_trip_spaces, key, data):
     assert coords.dtype == (np.uint8 if F.order <= 256 else np.uint16)
     i = data.draw(st.integers(0, space.npoints - 1))
     P = tuple(int(x) for x in coords[i])
-    assert P == space.point(i) == space._point(i)
+    assert P == space.point(i)
     assert space.index(space.point(i)) == i
     lam = data.draw(st.integers(1, F.order - 1))
     assert space.index_rows(F.mul_table[lam, coords[i]][None]).tolist() == [i]
