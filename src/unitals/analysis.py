@@ -33,7 +33,12 @@ secant.
 The pairs of one P all span its anchor secant, so M is one line for all of
 them, and only L_Q changes from pair to pair.  The search computes
 M(R)^2 and L_P(R) once per P, from one representative of M, and L_Q(R)
-once per pair.
+once per pair.  A line u is read at the points of S through two small
+tables: a normalised R has r0 = 0 or 1, so u0*r0 + u1*r1 takes one of 2n
+values, keyed by r0*n + r1, and u2*r2 one of n, keyed by r2.  Their sum
+indexes a flat n^2 table that holds what the count needs of u(R), its
+log squared or its log inverse, so each value is two takes and one
+gather.
 
 Neither the identity nor the anchor argument divides by 2, so the search
 runs in every characteristic.  Two things differ in characteristic 2: the
@@ -53,7 +58,7 @@ from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, r
 from .geom import PointSet, det3, line_counts, projective_space, span, tangent_lines
 from .gf import GF, QuadraticCharacter, _isqrt_exact
 from .unital import is_unital
-from .veronese import veronese_point
+from .veronese import sorted_unique, veronese_point
 
 
 class NotStated(ValueError):
@@ -177,7 +182,7 @@ def case_residual_formula(F: GF, case: int, k: int):
     else:
         raise ValueError(f"unknown case {case}")
     space = projective_space(F, 5)
-    return [space.point(int(i)) for i in np.unique(space.index_rows(rows))]
+    return [space.point(int(i)) for i in sorted_unique(space.index_rows(rows))]
 
 
 def case1_exceptional_vpoints(F: GF, k: int, beta: int):
@@ -211,19 +216,30 @@ def _unique_tangents(S: PointSet):
     return plane.coords_array()[tangents[order]]
 
 
-def _dot(F: GF, U, V):
-    """u0*v0 + u1*v1 + u2*v2 over F for broadcast (..., 3) arrays, in the
-    field's dtype.  Each product and sum gathers from a flat table on
-    narrow indices (< m^2), as in ``geom.span``; U is the operand widened,
-    so it should be the smaller one."""
-    m = F.order
-    mul, add = F.mul_table.ravel(), F.add_table.ravel()
-    wide = np.uint16 if m <= 256 else np.uint32
-    U = np.asarray(U).astype(wide) * m
-    acc = mul[U[..., 0] + V[..., 0]]
-    for i in (1, 2):
-        acc = add[acc.astype(wide) * m + mul[U[..., i] + V[..., i]]]
-    return acc
+def _point_keys(F: GF, pts):
+    """The keys (r0*n + r1, r2) of the rows R of an (N, 3) array of points
+    whose first coordinate is 0 or 1, as normalised points' are."""
+    return pts[:, 0].astype(np.intp) * F.order + pts[:, 1], pts[:, 2].astype(np.intp)
+
+
+def _line_values(F: GF, U, keys, table):
+    """table[u(R)] for each row u of the (k, 3) array U and each point R
+    given by its ``_point_keys``: a (k, points) array.  Per line,
+    A[r0*n + r1] = u0*r0 + u1*r1 and B[r2] = (u2*r2)*n, in a dtype that
+    holds n^2, so u(R) = a + b is read from the flat n^2 table at
+    A + B = b*n + a: ``F.add_table.ravel()`` gives u(R) itself and
+    ``f[F.add_table].ravel()`` gives f(u(R)).  Each entry is two row-wise
+    takes, one sum and one gather."""
+    n = F.order
+    mul = F.mul_table
+    U = np.asarray(U)
+    u1 = mul[U[:, 1]]
+    A = np.concatenate([u1, F.add_table[U[:, :1], u1]], axis=1)
+    B = mul[U[:, 2]].astype(np.uint16 if n <= 256 else np.uint32) * n
+    ka, kb = keys
+    idx = B.take(kb, axis=1)
+    idx += A.take(ka, axis=1)
+    return table[idx]
 
 
 def _cross(F: GF, U, V):
@@ -317,6 +333,8 @@ def _conics_contained_pencils(S: PointSet, tangents):
     log_inv = (-F.log_table % g).astype(np.int16)
     log_sq = (2 * F.log_table % g).astype(np.int16)
     log_sq[0] = zero
+    # read at b*n + a, they give log (a + b)^2 and log 1/(a + b)
+    sq_of_sum, inv_of_sum = log_sq[F.add_table].ravel(), log_inv[F.add_table].ravel()
     # the rows of one P are adjacent: up holds the distinct Ps, own[r] the
     # position of row r's P in up, and P's first row gives its M
     starts = np.diff(p, prepend=-1) != 0
@@ -325,19 +343,20 @@ def _conics_contained_pencils(S: PointSet, tangents):
     up = p[first]
     m = _cross(F, pts[up], pts[q[first]])
     lp = tangents[up]
+    ka, kb = _point_keys(F, pts)
     found = []
     step = max(1, _CHUNK // N)
     for lo in range(0, len(p), step):
         hi = min(lo + step, len(p))
         # the chunk's Ps are up[u0:u1]; a P's rows may straddle two chunks
         u0, u1 = own[lo], own[hi - 1] + 1
-        R = pts[None, p[lo] + 1 :]
-        per_p = log_sq[_dot(F, m[u0:u1, None], R)]
-        per_p += log_inv[_dot(F, lp[u0:u1, None], R)]
+        R = ka[p[lo] + 1 :], kb[p[lo] + 1 :]
+        per_p = _line_values(F, m[u0:u1], R, sq_of_sum)
+        per_p += _line_values(F, lp[u0:u1], R, inv_of_sum)
         # R starts after the chunk's first P; the later Ps drop R <= P
         per_p[np.arange(p[lo] + 1, N) <= up[u0:u1, None]] = zero
         s = per_p.take(own[lo:hi] - u0, axis=0)
-        s += log_inv[_dot(F, tangents[q[lo:hi], None], R)]
+        s += _line_values(F, tangents[q[lo:hi]], R, inv_of_sum)
         lam = lookup[s] + (g + 1) * np.arange(len(s))[:, None]
         counts = np.bincount(lam.ravel(), minlength=len(s) * (g + 1)).reshape(len(s), g + 1)
         r, k = np.nonzero(counts[:, :g] == n - 1)
@@ -493,7 +512,8 @@ def _transform_points(plane, M, pts: PointSet) -> PointSet:
     F = plane.field
     if det3(F, M) == 0:
         raise ValueError("transform needs an invertible matrix")
-    images = _dot(F, np.array(M)[:, None], plane.coords_array()[pts.member])
+    keys = _point_keys(F, plane.coords_array()[pts.member])
+    images = _line_values(F, M, keys, F.add_table.ravel())
     return PointSet.from_indices(plane, plane.index_rows(images.T))
 
 

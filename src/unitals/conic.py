@@ -115,7 +115,7 @@ def eval_many(F: GF, coeffs, rows):
 class Conic:
     """A conic of PG(2,n), identified with its normalised coefficient tuple."""
 
-    __slots__ = ("field", "coeffs", "_points", "_rank", "_det")
+    __slots__ = ("field", "coeffs", "_characters", "_rank", "_det")
 
     def __init__(self, F: GF, coeffs):
         coeffs = tuple(F.require_element(c, "coefficient") for c in coeffs)
@@ -129,7 +129,7 @@ class Conic:
             coeffs = tuple(F.mul(inv, c) for c in coeffs)
         self.field = F
         self.coeffs = coeffs
-        self._points = None
+        self._characters = None
         self._rank = None
         self._det = None
 
@@ -163,11 +163,18 @@ class Conic:
     def contains(self, P) -> bool:
         return self.evaluate(P) == 0
 
+    def _plane_characters(self):
+        """int8 per plane point: the quadratic character of the form's
+        value, 0 on the conic.  One ``eval_many`` over the plane, kept for
+        ``points`` and ``classify_array``; at one byte per point it holds
+        no more than a kept point set would."""
+        if self._characters is None:
+            F = self.field
+            self._characters = F.character_table[eval_many(F, self.coeffs, _monomials(self.plane))]
+        return self._characters
+
     def points(self) -> PointSet:
-        if self._points is None:
-            vals = eval_many(self.field, self.coeffs, _monomials(self.plane))
-            self._points = PointSet(self.plane, vals == 0)
-        return self._points
+        return PointSet(self.plane, self._plane_characters() == 0)
 
     # -- matrix machinery (odd characteristic) ------------------------------
 
@@ -226,10 +233,9 @@ class Conic:
         self._require_odd()
         if self.rank() != 3:
             raise ValueError("point classification needs an irreducible conic")
+        # the character is multiplicative: chi(-det*f(P)) = chi(-det)*chi(f(P))
         F = self.field
-        vals = eval_many(F, self.coeffs, _monomials(self.plane))
-        w = F.mul_table[F.neg(self.det()), vals]
-        return F.character_table[w]
+        return self._plane_characters() * F.character_table[F.neg(self.det())]
 
     def tangent_at(self, P):
         """Dual vector of the tangent line at a point of the conic (A.P)."""

@@ -22,6 +22,15 @@ from .gf import GF
 from .geom import point_array, projective_space, span
 
 
+def sorted_unique(idx):
+    """The distinct entries of an integer array, sorted; the array is
+    sorted in place.  Sorting and comparing neighbours is much faster on
+    large arrays than np.unique, which in numpy 2.4 also imports numpy.ma
+    on its first call."""
+    idx.sort()
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+
+
 def veronese_point(F: GF, a: int, b: int, c: int):
     """Normalised image (a^2,b^2,c^2,ab,ac,bc) of a nonzero triple."""
     if a == 0 and b == 0 and c == 0:
@@ -85,21 +94,19 @@ def _cone_hits_block(F: GF, coeffs, coords):
 
 def cone_point_indices(C: Conic):
     """Sorted PG(5,n) indices of the full cone of C, built directly: the
-    lines from the apex to every Veronese point v, that is v and every
-    point apex + lambda*v (the apex itself at lambda = 0).  Such a row
-    vanishes only when v is the apex's own point, so zero rows occur, and
-    are dropped, only for a rank-1 apex, a point of V; the rows of an
-    apex of higher rank are never scanned for them."""
+    lines from the apex to every Veronese point v, that is the apex and
+    every point v + lambda*apex (v itself at lambda = 0), so that the
+    lambda-multiples are taken of the apex alone.  Such a row vanishes
+    only when v is the apex's own point, so zero rows occur, and are
+    dropped, only for a rank-1 apex, a point of V; the rows of an apex of
+    higher rank are never scanned for them."""
     F = C.field
     V = quadratic_rows(F, point_array(F.order, 2))
-    rows = span(F, C.coeffs, V).reshape(-1, 6)
+    rows = span(F, V, C.coeffs).reshape(-1, 6)
     if symmetric_rank_leq1(F, C.coeffs):
         rows = rows[rows.any(axis=1)]
-    idx = projective_space(F, 5).index_rows(rows)
-    idx.sort()
-    # drop repeats (the apex, and points on lines meeting V twice); sorting
-    # and comparing neighbours is much faster here than np.unique
-    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    # drop repeats: the apex, and points on lines meeting V twice
+    return sorted_unique(projective_space(F, 5).index_rows(rows))
 
 
 @lru_cache(maxsize=4)
@@ -111,7 +118,7 @@ def swept_cone_indices(C: Conic):
     F = C.field
     space = projective_space(F, 5)
     idx = np.flatnonzero(_cone_hits_block(F, C.coeffs, space.coords_array()))
-    idx = np.union1d(idx, space.index(C.coeffs))
+    idx = sorted_unique(np.append(idx, space.index(C.coeffs)))
     idx.flags.writeable = False
     return idx
 

@@ -25,8 +25,9 @@ from unitals.analysis import (
     random_invertible,
     verify_afkl,
     _anchor_pairs,
-    _dot,
     _hypothesis_matrix,
+    _line_values,
+    _point_keys,
     _transform_points,
     _unique_tangents,
 )
@@ -486,33 +487,33 @@ def test_pencil_search_chunks_do_not_change_output(monkeypatch):
 
 # both characteristics, up to order 256 and at 289, where the flat-table
 # index moves from uint16 to uint32
-_DOT_FIELDS = [field(p, h) for p, h in ((2, 1), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2), (2, 8), (17, 2))]
+_LINE_VALUE_FIELDS = [field(p, h) for p, h in ((2, 1), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2), (2, 8), (17, 2))]
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.sampled_from(_DOT_FIELDS), st.data())
-def test_dot_matches_scalar_sums(F, data):
-    element = st.integers(0, F.order - 1)
-    vectors = st.lists(st.lists(element, min_size=3, max_size=3), min_size=1, max_size=6)
-    us, vs = data.draw(vectors), data.draw(vectors)
-    dt = F.mul_table.dtype
-    # the search passes U in the field's dtype, _transform_points as int64
-    U = np.array(us, dtype=data.draw(st.sampled_from([dt, np.int64])))
-    V = np.array(vs, dtype=dt)
+@given(st.sampled_from(_LINE_VALUE_FIELDS), st.data())
+def test_line_values_match_scalar_sums(F, data):
+    n = F.order
+    plane = projective_plane(F)
+    element = st.integers(0, n - 1)
+    lines = data.draw(st.lists(st.lists(element, min_size=3, max_size=3), min_size=1, max_size=6))
+    # normalised points, those with x = 0 (the first n+1 indices) drawn often
+    index = st.one_of(st.integers(0, n), st.integers(0, plane.npoints - 1))
+    points = [plane.point(i) for i in data.draw(st.lists(index, min_size=1, max_size=8))]
+    # the search passes lines in the field's dtype, _transform_points as int64
+    U = np.array(lines, dtype=data.draw(st.sampled_from([F.mul_table.dtype, np.int64])))
+    keys = _point_keys(F, np.array(points, dtype=F.mul_table.dtype))
 
-    def dot(u, v):
-        return F.add(F.add(F.mul(u[0], v[0]), F.mul(u[1], v[1])), F.mul(u[2], v[2]))
+    def value(u, r):
+        return F.add(F.add(F.mul(u[0], r[0]), F.mul(u[1], r[1])), F.mul(u[2], r[2]))
 
-    shape = data.draw(st.sampled_from(["outer", "pairs", "one"]))
-    if shape == "outer":  # every u against every v, as the search does
-        got, want = _dot(F, U[:, None], V[None]), [[dot(u, v) for v in vs] for u in us]
-    elif shape == "pairs":
-        k = min(len(us), len(vs))
-        got, want = _dot(F, U[:k], V[:k]), [dot(u, v) for u, v in zip(us, vs)]
-    else:
-        got, want = _dot(F, U[0], V), [dot(us[0], v) for v in vs]
-    assert got.dtype == dt
+    want = [[value(u, r) for r in points] for u in lines]
+    got = _line_values(F, U, keys, F.add_table.ravel())
+    assert got.dtype == F.add_table.dtype
     assert got.tolist() == want
+    # a table f[F.add_table] reads f at the value, as the search's log tables do
+    f = np.random.default_rng(n).permutation(n).astype(np.int16)
+    assert _line_values(F, U, keys, f[F.add_table].ravel()).tolist() == f[np.array(want)].tolist()
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -543,22 +544,22 @@ def test_anchor_pairs_memory_stays_below_the_line_table():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_pencil_search_gathers_once_per_point(monkeypatch, p):
-    # M(R) and L_P(R) are gathered once per point P of a chunk, L_Q(R) once
+    # M(R) and L_P(R) are read once per point P of a chunk, L_Q(R) once
     # per anchor pair (P, Q): at most (rows + 2*distinct P)*|S| entries,
-    # where three gathers per row would need up to 3*rows*|S|
+    # where three reads per row would need up to 3*rows*|S|
     F = field(p, 2)
     U = behs_unital(F)[0]
     image = _transform_points(projective_plane(F), random_invertible(F, random.Random(p)), U)
-    dot = analysis._dot
+    line_values = analysis._line_values
     entries = 0
 
-    def counted(F, U, V):
+    def counted(F, U, keys, table):
         nonlocal entries
-        out = dot(F, U, V)
+        out = line_values(F, U, keys, table)
         entries += out.size
         return out
 
-    monkeypatch.setattr(analysis, "_dot", counted)
+    monkeypatch.setattr(analysis, "_line_values", counted)
     for S in (U, hermitian_unital(F), image):
         entries = 0
         conics_contained(S, method="pencil")

@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from datetime import timedelta
 
 import pytest
@@ -543,6 +546,26 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cone_residual_does_not_import_numpy_ma():
+    # np.unique and np.union1d import numpy.ma on first use (numpy 2.x), a
+    # few ms and about 1 MB per process; the cone path sorts and compares
+    # neighbours instead
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from unitals.cli import main\n"
+        "assert main(['cone-residual', '--q', '3', '--case', '1']) == 0\n"
+        "print('eager' if eager else 'numpy.ma' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    last = out.stdout.split()[-1]
+    if last == "eager":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert last == "False"
+
+
 def test_cone_residual_q9_stdout_is_byte_identical(capsys):
     # case 1 at plane order 81: its cones have 538,084 points, about 33
     # times as many as at q = 5
@@ -570,6 +593,7 @@ def test_cone_residual_q9_stdout_is_byte_identical(capsys):
         ("check --claim main --q 9", "42307d95bc4d7687bcacaf8320195e6bf39ad6cc344f27bea371301f0a0dc4a9"),
         ("check --claim main --q 11", "b0ef79efd72249a5962aafab8871249bfe8bc70b1429abb59b8338d6b1621671"),
         ("check --claim main --q 13", "18da571f41dac94861fe2f6b1f8aef95480bb92fd066146c4455536ca573cad3"),
+        ("check --claim main --q 17", "2c544a831f9dbeb558dc4b403f3d3f0ce7638757aadbde365f7e462170cfcce9"),
         ("enum-conics --q 3", "e4bdbeb1972e454ed93a02c88f8dc76f198bb09594785b2a2aae41f3fb77f51d"),
         ("build-unital --q 5 --t 13", "5334b9c050f8cff0729981c9f276fed3ed10d5cb74c29b6b786104507e6ce06a"),
     ],
@@ -580,7 +604,9 @@ def test_report_shapes_are_byte_identical(capsys, argv, digest):
     # tables, the main claim at even q (Hermitian only) and at odd q (over
     # both unitals, the pencil search splits the rows of one point between
     # two row chunks twice at q = 7, 17 times at q = 9, 63 at q = 11 and
-    # 259 at q = 13), the conic list and the constructed unital
+    # 259 at q = 13; at q = 17 the plane order is 289, above 256, so the
+    # search's flat-table indices are uint32), the conic list and the
+    # constructed unital
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
