@@ -16,12 +16,11 @@ from .analysis import (
     lemma2_search,
     verify_afkl,
 )
-from .conic import Conic, PencilKind, PointClass, canonical_pencil
+from .conic import Conic, PencilKind, canonical_pencil
 from .geom import PointSet, projective_plane, projective_space
 from .gf import GF, QuadraticCharacter, field
 from .unital import UnitalReport, behs_unital, hermitian_unital, is_unital, tangent_structure
 from .veronese import (
-    cone_contains,
     cone_residual_intersection,
     line_meets_veronese,
     veronese_point,

@@ -508,15 +508,6 @@ def _hypothesis_matrix(conics):
     return ext @ on.T == 0
 
 
-def _transform_points(plane, M, pts: PointSet) -> PointSet:
-    F = plane.field
-    if det3(F, M) == 0:
-        raise ValueError("transform needs an invertible matrix")
-    keys = _point_keys(F, plane.coords_array()[pts.member])
-    images = _line_values(F, M, keys, F.add_table.ravel())
-    return PointSet.from_indices(plane, plane.index_rows(images.T))
-
-
 def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
     """Check the conic-pair trichotomy: every ordered pair of distinct
     irreducible conics for which D\\C avoids the external points of C must

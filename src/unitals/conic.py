@@ -14,14 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import GF, QuadraticCharacter
+from .gf import GF
 from .geom import PointSet, det3, inv3, line_counts, matvec3, projective_plane, tangent_counts
-
-
-class PointClass(enum.Enum):
-    ON_CONIC = "on"
-    EXTERNAL = "external"
-    INTERNAL = "internal"
 
 
 class PencilKind(enum.Enum):
@@ -160,9 +154,6 @@ class Conic:
             cross = F.mul(F.add(1, 1), cross)
         return F.add(v, cross)
 
-    def contains(self, P) -> bool:
-        return self.evaluate(P) == 0
-
     def _plane_characters(self):
         """int8 per plane point: the quadratic character of the form's
         value, 0 on the conic.  One ``eval_many`` over the plane, kept for
@@ -212,21 +203,6 @@ class Conic:
         return pts.card == self.field.order + 1 and bool((line_counts(pts) <= 2).all())
 
     # -- classification ------------------------------------------------------
-
-    def classify_point(self, P) -> PointClass:
-        """External iff -det(A) * f(P) is a nonzero square; on the conic iff
-        f(P) = 0; internal otherwise."""
-        self._require_odd()
-        if self.rank() != 3:
-            raise ValueError("point classification needs an irreducible conic")
-        F = self.field
-        v = self.evaluate(P)
-        if v == 0:
-            return PointClass.ON_CONIC
-        w = F.mul(F.neg(self.det()), v)
-        if F.quadratic_character(w) == QuadraticCharacter.NONZERO_SQUARE:
-            return PointClass.EXTERNAL
-        return PointClass.INTERNAL
 
     def classify_array(self):
         """int8 per plane point: 0 on the conic, 1 external, -1 internal."""

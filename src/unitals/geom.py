@@ -88,10 +88,6 @@ class ProjectiveSpace:
             rem //= m
         return tuple(coords)
 
-    def points(self):
-        """All points in canonical order."""
-        return [self.point(i) for i in range(self.npoints)]
-
     def coords_array(self):
         """(npoints, dim+1) numpy array of all normalised points, cached; its
         transpose is C-contiguous, one row per coordinate."""
@@ -163,29 +159,6 @@ class ProjectiveSpace:
             tail += F.add_table[p[:, None], F.mul_table[lam, q[:, None]]]
         out.flags.writeable = False
         return out
-
-    def line_index(self, dual) -> int:
-        return self.index(self.normalize(dual))
-
-    def line_through(self, P, Q):
-        """The normalised dual vector of the unique line through two distinct
-        points of PG(2,n)."""
-        if self.dim != 2:
-            raise ValueError("lines are only built in PG(2,n)")
-        P, Q = tuple(P), tuple(Q)
-        if self.normalize(P) == self.normalize(Q):
-            raise ValueError(f"{P} and {Q} coincide")
-        F = self.field
-        u = F.sub(F.mul(P[1], Q[2]), F.mul(P[2], Q[1]))
-        v = F.sub(F.mul(P[2], Q[0]), F.mul(P[0], Q[2]))
-        w = F.sub(F.mul(P[0], Q[1]), F.mul(P[1], Q[0]))
-        return self.normalize((u, v, w))
-
-    def points_on_line(self, line):
-        """Points of a line of PG(2,n), given as a dual vector or a line
-        index, in canonical index order, as coordinate tuples."""
-        li = line if isinstance(line, int) else self.line_index(line)
-        return [self.point(i) for i in self.lines[li].tolist()]
 
 
 def span(F: GF, P, Q):
@@ -283,14 +256,6 @@ def inv3(F: GF, M):
     return tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
 
 
-def apply_collineation(space: ProjectiveSpace, M, P):
-    """Image of a point of PG(2,n) under an invertible 3x3 matrix."""
-    F = space.field
-    if det3(F, M) == 0:
-        raise ValueError("collineation matrix is singular")
-    return space.normalize(matvec3(F, M, P))
-
-
 # -- point sets ---------------------------------------------------------------
 
 
@@ -324,9 +289,6 @@ class PointSet:
 
     def __len__(self):
         return self.card
-
-    def contains(self, idx: int) -> bool:
-        return 0 <= idx < self.space.npoints and bool(self.member[idx])
 
     def indices(self):
         """Indices of the points in the set, ascending, as Python ints."""

@@ -355,38 +355,3 @@ def _isqrt_exact(n: int):
 def field(p: int, h: int = 1, modulus=None) -> GF:
     """Memoised field constructor; modulus as a tuple of ascending coefficients."""
     return GF(p, h, modulus)
-
-
-def nullspace(F: GF, rows) -> list:
-    """Basis of the right null space of a matrix given as an iterable of
-    equal-length coefficient rows over F."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[i][fc])
-        basis.append(tuple(v))
-    return basis

@@ -8,16 +8,13 @@ A point Q other than P(C) lies on Gamma(C) exactly when the line P(C)Q meets
 V away from P(C), so the cone is built directly: P(C), every point of V, and
 every point P(C) + lambda*v for v on V, about n^3 rows normalised in numpy.
 The residuals of one conic C against several partners build Gamma(C) once.
-The exhaustive PG(5,n) sweep, which line-scans every point for a rank-1
-symmetric matrix, and the plain per-point scans (``line_meets_veronese``,
-``cone_contains``) stay as the oracles the numpy paths are tested against.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .conic import Conic, quadratic_rows, rank1_rows, symmetric_rank_leq1
+from .conic import Conic, quadratic_rows, symmetric_rank_leq1
 from .gf import GF
 from .geom import point_array, projective_space, span
 
@@ -61,35 +58,7 @@ def line_meets_veronese(F: GF, P, Q):
     return [found[i] for i in sorted(found)]
 
 
-def cone_contains(C: Conic, Q) -> bool:
-    """Whether Q lies on the cone projecting V from P(C): Q = P(C) or the
-    line P(C)Q meets V (line-scan, n+1 rank tests)."""
-    F = C.field
-    if F.p != 2 and C.rank() <= 1:
-        raise ValueError("rank-1 conics are points of V, not cone apices")
-    space = projective_space(F, 5)
-    apex = space.normalize(C.coeffs)
-    Qn = space.normalize(tuple(Q))
-    if Qn == apex:
-        return True
-    return bool(line_meets_veronese(F, apex, Qn))
-
-
 # -- cones in numpy ------------------------------------------------------------
-
-
-def _cone_hits_block(F: GF, coeffs, coords):
-    """Boolean array marking rows of ``coords`` lying on the cone of the
-    conic with the given coefficients (apex excluded): the line from each
-    row to the apex meets V away from the apex.  Rows go in chunks, to
-    bound the (chunk, n+1, 6) span."""
-    chunk = 1 << 16
-    hits = np.empty(len(coords), dtype=bool)
-    for lo in range(0, len(coords), chunk):
-        # span row 0 is the apex itself; rows 1.. are row + lambda*apex
-        lines = span(F, coords[lo : lo + chunk], coeffs)
-        hits[lo : lo + chunk] = rank1_rows(F, lines)[:, 1:].any(axis=1)
-    return hits
 
 
 def cone_point_indices(C: Conic):
@@ -109,30 +78,11 @@ def cone_point_indices(C: Conic):
     return sorted_unique(projective_space(F, 5).index_rows(rows))
 
 
-@lru_cache(maxsize=4)
-def swept_cone_indices(C: Conic):
-    """Oracle for ``cone_point_indices``: every point of PG(5,n) is
-    line-scanned against the cone.  Read-only and cached, since the tests
-    sweep each case's apex for the residual scan and again against
-    ``cone_point_indices``."""
-    F = C.field
-    space = projective_space(F, 5)
-    idx = np.flatnonzero(_cone_hits_block(F, C.coeffs, space.coords_array()))
-    idx = sorted_unique(np.append(idx, space.index(C.coeffs)))
-    idx.flags.writeable = False
-    return idx
-
-
-def cone_residual_intersection(C: Conic, partners, method: str = "direct"):
+def cone_residual_intersection(C: Conic, partners):
     """For each conic D of ``partners``, all points of (Gamma(C) & Gamma(D))
     minus the line P(C)P(D) minus V, in canonical index order, as coordinate
-    tuples: one list per partner.  The work on C is done once.
-
-    method "direct" intersects the two directly built cones and is exact at
-    every order; "scan" sweeps the whole of PG(5,n) for the cone of C and
-    line-scans its points against D (the oracle, affordable up to n=25);
-    "scalar" is the plain per-point reference implementation for small n.
-    """
+    tuples: one list per partner.  Both cones are built directly, which is
+    exact at every order; the cone of C is built once."""
     F = C.field
     partners = list(partners)
     for D in partners:
@@ -143,32 +93,11 @@ def cone_residual_intersection(C: Conic, partners, method: str = "direct"):
     if F.p != 2 and any(E.rank() != 3 for E in [C, *partners]):
         raise ValueError("residual intersection needs irreducible conics")
     space = projective_space(F, 5)
-
-    if method == "direct":
-        cone_c = cone_point_indices(C)
-
-        def on_both(D):
-            return np.intersect1d(cone_c, cone_point_indices(D), assume_unique=True)
-
-    elif method == "scan":
-        cand = swept_cone_indices(C)
-        cand_coords = space.coords_array()[cand]
-
-        def on_both(D):
-            return cand[_cone_hits_block(F, D.coeffs, cand_coords) | (cand == space.index(D.coeffs))]
-
-    elif method == "scalar":
-        cand = [i for i, P in enumerate(space.points()) if cone_contains(C, P)]
-
-        def on_both(D):
-            return [i for i in cand if cone_contains(D, space.point(i))]
-
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    cone_c = cone_point_indices(C)
     out = []
     for D in partners:
-        apex_line = space.index_rows(span(F, C.coeffs, D.coeffs))
-        found = np.setdiff1d(on_both(D), apex_line, assume_unique=True)
+        found = np.intersect1d(cone_c, cone_point_indices(D), assume_unique=True)
+        found = np.setdiff1d(found, space.index_rows(span(F, C.coeffs, D.coeffs)), assume_unique=True)
         found = np.setdiff1d(found, veronese_indices(F), assume_unique=True)
         out.append([space.point(int(i)) for i in found])
     return out

@@ -1,0 +1,193 @@
+"""Slow, plain reference implementations that the tests check the library's
+fast paths against.  No claim runs them, so they live with the tests.
+
+- ``nullspace``: Gaussian elimination over F, the reference for the
+  closed-form pencils and pencil parameters of the conic search;
+- ``apply_collineation``, ``transform_points`` and ``line_through``: one
+  point at a time in PG(2,n), so that the inputs of the tests on the
+  pencil search are not built by the search's own line-value code;
+- ``PointClass`` and ``classify_point``: the per-point classifier behind
+  ``Conic.classify_array`` and ``analysis.no_external_points``;
+- ``cone_contains``, ``swept_cone_indices``, ``scan_residuals`` and
+  ``scalar_residuals``: the PG(5,n) sweeps behind ``cone_point_indices``
+  and ``cone_residual_intersection``.
+"""
+
+import enum
+from functools import lru_cache
+
+import numpy as np
+
+from unitals.conic import Conic, rank1_rows, symmetric_rank_leq1
+from unitals.geom import PointSet, det3, matvec3, projective_space, span
+from unitals.gf import GF, QuadraticCharacter
+from unitals.veronese import line_meets_veronese, sorted_unique
+
+
+def nullspace(F: GF, rows) -> list:
+    """Basis of the right null space of a matrix given as an iterable of
+    equal-length coefficient rows over F."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(rows[i][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+# -- PG(2,n), one point at a time ----------------------------------------------
+
+
+def apply_collineation(space, M, P):
+    """Image of a point of PG(2,n) under an invertible 3x3 matrix."""
+    F = space.field
+    if det3(F, M) == 0:
+        raise ValueError("collineation matrix is singular")
+    return space.normalize(matvec3(F, M, P))
+
+
+def transform_points(plane, M, pts: PointSet) -> PointSet:
+    """The image of a point set of PG(2,n) under x -> Mx."""
+    if det3(plane.field, M) == 0:
+        raise ValueError("transform needs an invertible matrix")
+    return PointSet.from_indices(plane, (plane.index(apply_collineation(plane, M, plane.point(i))) for i in pts))
+
+
+def line_through(plane, P, Q):
+    """The normalised dual vector of the unique line through two distinct
+    points of PG(2,n)."""
+    if plane.dim != 2:
+        raise ValueError("lines are only built in PG(2,n)")
+    P, Q = tuple(P), tuple(Q)
+    if plane.normalize(P) == plane.normalize(Q):
+        raise ValueError(f"{P} and {Q} coincide")
+    F = plane.field
+    u = F.sub(F.mul(P[1], Q[2]), F.mul(P[2], Q[1]))
+    v = F.sub(F.mul(P[2], Q[0]), F.mul(P[0], Q[2]))
+    w = F.sub(F.mul(P[0], Q[1]), F.mul(P[1], Q[0]))
+    return plane.normalize((u, v, w))
+
+
+class PointClass(enum.Enum):
+    ON_CONIC = "on"
+    EXTERNAL = "external"
+    INTERNAL = "internal"
+
+
+def classify_point(C: Conic, P) -> PointClass:
+    """External iff -det(A) * f(P) is a nonzero square; on the conic iff
+    f(P) = 0; internal otherwise."""
+    if C.field.p == 2:
+        raise ValueError("matrix form needs odd characteristic")
+    if C.rank() != 3:
+        raise ValueError("point classification needs an irreducible conic")
+    F = C.field
+    v = C.evaluate(P)
+    if v == 0:
+        return PointClass.ON_CONIC
+    w = F.mul(F.neg(C.det()), v)
+    if F.quadratic_character(w) == QuadraticCharacter.NONZERO_SQUARE:
+        return PointClass.EXTERNAL
+    return PointClass.INTERNAL
+
+
+# -- cones over the Veronese surface, by sweeping PG(5,n) ----------------------
+
+
+def cone_contains(C: Conic, Q) -> bool:
+    """Whether Q lies on the cone projecting V from P(C): Q = P(C) or the
+    line P(C)Q meets V (line-scan, n+1 rank tests)."""
+    F = C.field
+    if F.p != 2 and C.rank() <= 1:
+        raise ValueError("rank-1 conics are points of V, not cone apices")
+    space = projective_space(F, 5)
+    apex = space.normalize(C.coeffs)
+    Qn = space.normalize(tuple(Q))
+    if Qn == apex:
+        return True
+    return bool(line_meets_veronese(F, apex, Qn))
+
+
+def cone_hits(F: GF, coeffs, coords):
+    """Boolean array marking rows of ``coords`` lying on the cone of the
+    conic with the given coefficients (apex excluded): the line from each
+    row to the apex meets V away from the apex.  Rows go in chunks, to
+    bound the (chunk, n+1, 6) span."""
+    chunk = 1 << 16
+    hits = np.empty(len(coords), dtype=bool)
+    for lo in range(0, len(coords), chunk):
+        # span row 0 is the apex itself; rows 1.. are row + lambda*apex
+        lines = span(F, coords[lo : lo + chunk], coeffs)
+        hits[lo : lo + chunk] = rank1_rows(F, lines)[:, 1:].any(axis=1)
+    return hits
+
+
+@lru_cache(maxsize=4)
+def swept_cone_indices(C: Conic):
+    """Sorted PG(5,n) indices of the cone of C: every point of PG(5,n) is
+    line-scanned against it.  Read-only and cached, since the tests sweep
+    each case's apex for the residual scan and again against
+    ``cone_point_indices``."""
+    F = C.field
+    space = projective_space(F, 5)
+    idx = np.flatnonzero(cone_hits(F, C.coeffs, space.coords_array()))
+    idx = sorted_unique(np.append(idx, space.index(C.coeffs)))
+    idx.flags.writeable = False
+    return idx
+
+
+def scan_residuals(C: Conic, partners):
+    """``cone_residual_intersection`` by sweeping the whole of PG(5,n) for
+    the cone of C and line-scanning its points against each partner D
+    (affordable up to n=25), then dropping the points on the line
+    P(C)P(D) and on V."""
+    F = C.field
+    space = projective_space(F, 5)
+    cand = swept_cone_indices(C)
+    cand_coords = space.coords_array()[cand]
+    out = []
+    for D in partners:
+        found = cand[cone_hits(F, D.coeffs, cand_coords) | (cand == space.index(D.coeffs))]
+        found = np.setdiff1d(found, space.index_rows(span(F, C.coeffs, D.coeffs)), assume_unique=True)
+        found = found[~rank1_rows(F, space.coords_array()[found])]
+        out.append([space.point(int(i)) for i in found])
+    return out
+
+
+def scalar_residuals(C: Conic, partners):
+    """``cone_residual_intersection`` point by point, for small n: each
+    point of PG(5,n) on both cones, off the line P(C)P(D) and off V."""
+    F = C.field
+    space = projective_space(F, 5)
+    cand = [P for P in map(space.point, range(space.npoints)) if cone_contains(C, P)]
+    out = []
+    for D in partners:
+        apex_line = {space.normalize(R) for R in span(F, C.coeffs, D.coeffs).tolist()}
+        out.append(
+            [P for P in cand if cone_contains(D, P) and P not in apex_line and not symmetric_rank_leq1(F, P)]
+        )
+    return out

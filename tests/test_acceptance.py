@@ -34,8 +34,8 @@ from unitals.veronese import (
     cone_point_indices,
     cone_residual_intersection,
     line_meets_veronese,
-    swept_cone_indices,
 )
+from oracles import scan_residuals, swept_cone_indices
 
 
 def report(num: int, ok: bool, t0: float, desc: str) -> float:
@@ -133,7 +133,7 @@ def test_criterion_6_cone_oracle_vs_closed_forms():
                 continue
             C, Ds = pairs[0][0], [D for _, D in pairs]
             apexes.add(C)
-            scan = cone_residual_intersection(C, Ds, method="scan")
+            scan = scan_residuals(C, Ds)
             ok &= cone_residual_intersection(C, Ds) == scan
             for k, res in zip(ks, scan):
                 ok &= res == case_residual_formula(F, case, k)

@@ -11,7 +11,6 @@ from unitals.gf import field
 from unitals.geom import (
     PointSet,
     ProjectiveSpace,
-    apply_collineation,
     det3,
     inv3,
     line_counts,
@@ -23,6 +22,7 @@ from unitals.geom import (
     tangent_counts,
     tangent_lines,
 )
+from oracles import apply_collineation, line_through
 
 
 def test_point_counts():
@@ -36,7 +36,7 @@ def test_point_counts():
 def test_canonical_order_is_lexicographic():
     for F, d in ((field(3, 2), 2), (field(3), 5)):
         space = projective_space(F, d)
-        pts = space.points()
+        pts = [space.point(i) for i in range(space.npoints)]
         assert pts == sorted(pts)
         assert len(set(pts)) == space.npoints
         for i, P in enumerate(pts):
@@ -98,9 +98,9 @@ def test_two_points_one_line_exhaustive(p, h):
     n = plane.field.order
     lines = plane.lines.tolist()
     lines_through = [[li for li, pts in enumerate(lines) if pi in pts] for pi in range(plane.npoints)]
-    for P, Q in combinations(plane.points(), 2):
-        L = plane.line_through(P, Q)
-        li = plane.line_index(L)
+    for P, Q in combinations(map(plane.point, range(plane.npoints)), 2):
+        L = line_through(plane, P, Q)
+        li = plane.index(plane.normalize(L))
         pts = lines[li]
         assert plane.index(P) in pts and plane.index(Q) in pts
         # no second line carries both
@@ -125,14 +125,14 @@ def test_two_points_one_line_pg2_25():
 
 def test_line_through_examples():
     pg9 = projective_plane(field(3, 2))
-    assert pg9.line_through((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+    assert line_through(pg9, (1, 0, 0), (0, 1, 0)) == (0, 0, 1)
     pg3 = projective_plane(field(3))
-    L = pg3.line_through((1, 1, 1), (1, 2, 0))
-    assert len(pg3.points_on_line(L)) == 4
+    L = line_through(pg3, (1, 1, 1), (1, 2, 0))
+    assert len(pg3.lines[pg3.index(pg3.normalize(L))]) == 4
     with pytest.raises(ValueError, match="coincide"):
-        pg3.line_through((1, 2, 0), (1, 2, 0))
+        line_through(pg3, (1, 2, 0), (1, 2, 0))
     with pytest.raises(ValueError, match=r"lines are only built in PG\(2,n\)"):
-        projective_space(field(3), 5).line_through((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+        line_through(projective_space(field(3), 5), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
 
 
 def test_pg5_lines():
@@ -178,7 +178,7 @@ def test_index_of_a_numpy_row():
 
 def test_points_on_line_canonical_order():
     plane = projective_plane(field(3, 2))
-    pts = plane.points_on_line((0, 0, 1))
+    pts = [plane.point(i) for i in plane.lines[plane.index((0, 0, 1))].tolist()]
     assert pts == sorted(pts)
     assert all(P[2] == 0 for P in pts)
     assert len(pts) == 10
@@ -212,8 +212,8 @@ def test_collineations_preserve_collinearity(p, h):
         li = rng.randrange(plane.npoints)
         P, Q, R = (plane.point(i) for i in plane.lines[li, :3].tolist())
         P2, Q2, R2 = (apply_collineation(plane, M, X) for X in (P, Q, R))
-        L2 = plane.line_through(P2, Q2)
-        assert plane.index(R2) in plane.lines[plane.line_index(L2)].tolist()
+        L2 = line_through(plane, P2, Q2)
+        assert plane.index(R2) in plane.lines[plane.index(plane.normalize(L2))].tolist()
 
 
 def test_pointset_operations():
@@ -221,14 +221,13 @@ def test_pointset_operations():
     A = PointSet.from_indices(plane, [0, 3, 5])
     B = PointSet.from_indices(plane, [3, 7])
     assert A.card == 3 and len(A) == 3
-    assert A.contains(3) and not A.contains(1)
+    assert A.member[3] and not A.member[1]
     assert (A | B).indices() == [0, 3, 5, 7]
     assert (A & B).indices() == [3]
     assert (A - B).indices() == [0, 5]
     assert A.complement().card == 10
     assert list(A) == [0, 3, 5]
     assert A == PointSet.from_indices(plane, [5, 0, 3, 0]) and A != B
-    assert not A.contains(-1) and not A.contains(13)
     with pytest.raises(ValueError):
         A.member[1] = True
 
@@ -251,7 +250,7 @@ def test_line_counts():
     through = [sum(1 for li in tangent_lines(S).tolist() if pi in plane.lines[li]) for pi in range(plane.npoints)]
     assert tangent_counts(S).tolist() == through
     # S is line 4: its points lie on 3 other lines, any other point on 4 lines through S
-    assert through == [3 if S.contains(pi) else 4 for pi in range(plane.npoints)]
+    assert through == [3 if S.member[pi] else 4 for pi in range(plane.npoints)]
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])
@@ -260,7 +259,7 @@ def test_lines_match_scalar_incidence(p, h):
     # index li, computed here with scalar field arithmetic
     F = field(p, h)
     plane = projective_plane(F)
-    pts = plane.points()
+    pts = [plane.point(i) for i in range(plane.npoints)]
     assert plane.lines.shape == (plane.npoints, F.order + 1)
     assert plane.lines.dtype == np.int32
     for li, L in enumerate(pts):

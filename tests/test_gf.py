@@ -10,8 +10,8 @@ from unitals.gf import (
     default_modulus,
     field,
     is_irreducible,
-    nullspace,
 )
+from oracles import nullspace
 
 ODD_ORDERS = [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (7, 4)]
 

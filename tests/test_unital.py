@@ -82,7 +82,7 @@ def test_behs_conic_tangents_are_unital_tangents():
     }
     for C in conics:
         for pi in C.points().indices():
-            li = plane.line_index(C.tangent_at(plane.point(pi)))
+            li = plane.index(plane.normalize(C.tangent_at(plane.point(pi))))
             assert li in tangent_line
 
 

@@ -14,14 +14,13 @@ from unitals.conic import Conic, PencilKind, canonical_pencil, symmetric_rank_le
 from unitals.geom import projective_plane, projective_space, span
 from unitals.gf import field
 from unitals.veronese import (
-    cone_contains,
     cone_point_indices,
     cone_residual_intersection,
     line_meets_veronese,
-    swept_cone_indices,
     veronese_indices,
     veronese_point,
 )
+from oracles import cone_contains, scalar_residuals, scan_residuals, swept_cone_indices
 
 
 def test_veronese_point_examples():
@@ -36,7 +35,7 @@ def test_veronese_point_examples():
 def test_image_count(p, h):
     F = field(p, h)
     n = F.order
-    imgs = {veronese_point(F, *t) for t in projective_plane(F).points()}
+    imgs = {veronese_point(F, *t) for t in projective_plane(F).coords_array().tolist()}
     assert len(imgs) == n * n + n + 1
     idx = veronese_indices(F)
     assert len(set(idx.tolist())) == n * n + n + 1
@@ -147,8 +146,8 @@ def test_scan_matches_scalar_reference(p, case, k):
     else:
         C = canonical_pencil(F, PencilKind.PARABOLIC, 0)
         D = canonical_pencil(F, PencilKind.PARABOLIC, k)
-    scalar = cone_residual_intersection(C, [D], method="scalar")
-    assert cone_residual_intersection(C, [D], method="scan") == scalar
+    scalar = scalar_residuals(C, [D])
+    assert scan_residuals(C, [D]) == scalar
     assert cone_residual_intersection(C, [D]) == scalar
 
 
@@ -160,7 +159,7 @@ def test_residual_formulas_n9():
             continue
         pairs = [canonical_case_pair(F, case, k) for k in ks]
         C, Ds = pairs[0][0], [D for _, D in pairs]
-        scan = cone_residual_intersection(C, Ds, method="scan")
+        scan = scan_residuals(C, Ds)
         assert cone_residual_intersection(C, Ds) == scan
         assert scan == [cone_residual_intersection(C, [D])[0] for D in Ds]
         for k, res in zip(ks, scan):
@@ -216,5 +215,3 @@ def test_residual_rejects_bad_input():
         cone_residual_intersection(C, [D, C])
     with pytest.raises(ValueError, match="residual intersection needs irreducible conics"):
         cone_residual_intersection(C, [D, Conic(F, (0, 0, 1, 0, 0, 0))])
-    with pytest.raises(ValueError):
-        cone_residual_intersection(C, [D], method="nope")
