@@ -23,12 +23,18 @@ with lowest point P.  Tangent lines of S meet S once, so C touches L_P at
 P and L_Q at each of its points Q; it is a member C_lam, lam != 0, of the
 pencil of P and Q.  Any line through P other than L_P meets C in one more
 point, a point of S after P, so Q need only run over the later points of S
-on one secant of P: its anchor secant, the one with the fewest.  A point R
-of S other than P, Q is off L_P and L_Q, so it lies on C_lam exactly when
-M(R) != 0 and lam = -M(R)^2/(L_P(R)*L_Q(R)).  So C_lam lies inside S with
-lowest point P exactly when n-1 points R > P of S hit lam, and each conic
-inside S is found once, from its lowest point and its point on the anchor
-secant.
+on one secant of P: its anchor secant, of those with the fewest the one
+with the smallest line index.  A point R of S other than P, Q is off L_P
+and L_Q, so it lies on C_lam exactly when M(R) != 0 and
+lam = -M(R)^2/(L_P(R)*L_Q(R)).  So C_lam lies inside S with lowest point P
+exactly when n-1 points R > P of S hit lam, and each conic inside S is
+found once, from its lowest point and its point on the anchor secant.
+
+The tangents and the anchor secants come from one pass over the line
+table, a block of rows at a time, with one gather of the ranks of S's
+points per block.  It gives each line's count of S, the tangent lines at
+each point of S (the search needs exactly one) and, per point, a running
+minimum of later*npoints + line over its secants, which names its anchor.
 
 The pairs of one P all span its anchor secant, so M is one line for all of
 them, and only L_Q changes from pair to pair.  The search computes
@@ -55,7 +61,7 @@ from operator import or_
 import numpy as np
 
 from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
-from .geom import PointSet, det3, line_counts, projective_space, span, tangent_lines
+from .geom import PointSet, det3, projective_space, span
 from .gf import GF, QuadraticCharacter, _isqrt_exact
 from .unital import is_unital
 from .veronese import sorted_unique, veronese_point
@@ -198,22 +204,9 @@ def case1_exceptional_vpoints(F: GF, k: int, beta: int):
 
 # -- conic enumeration inside a point set ----------------------------------------
 
-_CHUNK = 1 << 16  # (row, R) entries per gather of the pencil search
-
-
-def _unique_tangents(S: PointSet):
-    """(|S|, 3) array whose row i is the dual vector of the unique 1-point
-    line through the i-th point of S, or None when some point lacks one."""
-    plane = S.space
-    tangents = tangent_lines(S)
-    rows = plane.lines[tangents]
-    # a tangent line's row holds exactly one point of S, so every point has
-    # one tangent exactly when the touched points are S, each once
-    touch = rows[S.member[rows]]
-    order = np.argsort(touch)
-    if not np.array_equal(touch[order], np.flatnonzero(S.member)):
-        return None
-    return plane.coords_array()[tangents[order]]
+# entries per gather: (row, R) pairs of the pencil search, line-table
+# entries of the scan
+_CHUNK = 1 << 16
 
 
 def _point_keys(F: GF, pts):
@@ -278,32 +271,47 @@ def _conics_contained_exhaustive(S: PointSet):
     return [C for C in (Conic(F, c) for c in alive.T.tolist()) if C.is_irreducible]
 
 
-def _anchor_pairs(S: PointSet):
-    """Position pairs (P, Q) of the pencil search, sorted: for each point P
-    of S, the later points Q of S on its anchor secant, the secant through
-    P with the fewest of them."""
-    N = S.card
+def _scan_lines(S: PointSet):
+    """(tangents, p, q) from one blocked pass over the line table (see the
+    module docstring).  tangents is the (|S|, 3) array whose row i is the
+    dual vector of the one tangent line through the i-th point of S, or
+    None when some point has none or several.  (p, q) are the position
+    pairs of the pencil search, sorted: for each point P of S on a secant,
+    the later points Q of S on its anchor secant."""
     lines = S.space.lines
+    npoints = len(lines)
+    N = S.card
     rank = np.where(S.member, np.cumsum(S.member, dtype=np.int32) - 1, -1)
-    secants = np.flatnonzero(line_counts(S) > 1)
-    # the smallest later*|secants| + position for each P names its anchor
-    # secant; a running minimum over blocks of secants keeps the
-    # temporaries at one block's size
+    tangent = np.zeros(N, dtype=np.int64)
+    ntangents = np.zeros(N, dtype=np.int64)
+    # the smallest later*npoints + line for each P names its anchor secant
     best = np.full(N, np.iinfo(np.int64).max)
     block = max(1, _CHUNK // lines.shape[1])
-    for lo in range(0, len(secants), block):
-        on = rank[lines[secants[lo : lo + block]]]
+    for lo in range(0, npoints, block):
+        # one gather per block gives the counts, the tangents and the secants
+        on = rank.take(lines[lo : lo + block])
         inside = on >= 0
+        seen = np.cumsum(inside, axis=1, dtype=np.int32)
+        count = seen[:, -1]
+        # a tangent's row holds one point of S, its one rank >= 0
+        touch = np.flatnonzero(count == 1)
+        touched = on[touch].max(axis=1)
+        tangent[touched] = touch + lo
+        np.add.at(ntangents, touched, 1)
         # a line's points are sorted, so its points of S come in rank order
-        later = np.cumsum(inside[:, ::-1], axis=1, dtype=np.int32)[:, ::-1] - inside
-        li, col = np.nonzero(inside)
-        np.minimum.at(best, on[li, col], later[li, col] * np.int64(len(secants)) + (li + lo))
-    anchor = rank[lines[secants[best % len(secants)]]]
-    p, c = np.nonzero(anchor > np.arange(N)[:, None])
-    return p, anchor[p, c]
+        # and count - seen counts those after each
+        li, col = np.nonzero(inside & (count > 1)[:, None])
+        later = count[li] - seen[li, col]
+        np.minimum.at(best, on[li, col], later * np.int64(npoints) + (li + lo))
+    tangents = S.space.coords_array()[tangent] if (ntangents == 1).all() else None
+    # a point on no secant has no anchor and no pairs
+    (ps,) = np.nonzero(best < np.iinfo(np.int64).max)
+    anchor = rank[lines[best[ps] % npoints]]
+    p, c = np.nonzero(anchor > ps[:, None])
+    return tangents, ps[p], anchor[p, c]
 
 
-def _conics_contained_pencils(S: PointSet, tangents):
+def _conics_contained_pencils(S: PointSet, tangents, p, q):
     """Bitangent-pencil search by counting (the argument is in the module
     docstring).  For each anchor pair (P, Q), count the points R > P of S
     on each member lam of M^2 + lam*L_P*L_Q; a member hit n-1 times is a
@@ -322,7 +330,6 @@ def _conics_contained_pencils(S: PointSet, tangents):
     n, g = F.order, F.order - 1
     pts = plane.coords_array()[S.member]
     N = len(pts)
-    p, q = _anchor_pairs(S)
     # a conic has n points after its lowest
     p, q = p[p < N - n], q[p < N - n]
     if len(p) == 0:
@@ -392,11 +399,12 @@ def conics_contained(S: PointSet, method: str = "auto"):
     """
     if method not in ("auto", "pencil", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
-    tangents = None if method == "exhaustive" else _unique_tangents(S)
-    if tangents is not None:
-        return _conics_contained_pencils(S, tangents)
-    if method == "pencil":
-        raise ValueError("some point of S has no unique tangent line")
+    if method != "exhaustive":
+        tangents, p, q = _scan_lines(S)
+        if tangents is not None:
+            return _conics_contained_pencils(S, tangents, p, q)
+        if method == "pencil":
+            raise ValueError("some point of S has no unique tangent line")
     if S.space.field.order > 25:
         raise ValueError(f"plane order {S.space.field.order} is above 25, too large for the exhaustive sweep")
     return _conics_contained_exhaustive(S)

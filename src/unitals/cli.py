@@ -366,7 +366,11 @@ def cmd_field(args) -> int:
 
 def _build_set(args, F: GF):
     """(kind, point set, construction conics or None): the set read from
-    --points is of kind "points", a built one of the kind --kind names."""
+    --points is of kind "points", a built one of the kind --kind names.
+    --t parametrises the BEHS construction alone."""
+    if args.t is not None and (args.points or args.kind == "hermitian"):
+        other = "--points" if args.points else "--kind hermitian"
+        raise ValueError(f"--t sets the BEHS construction and cannot be given with {other}")
     if args.points:
         if args.points == "-":
             data = json.load(sys.stdin)

@@ -6,11 +6,12 @@ vectors in lexicographic order; lines of PG(2,n) are enumerated by the same
 scheme through their dual vectors.  The incidence of PG(2,n) is one
 (npoints, n+1) int32 array, ``ProjectiveSpace.lines``, whose row li lists
 the points of line li in increasing order.  A point set is a boolean
-membership array (``PointSet``); ``line_counts`` is the one place that
-counts the points of a set on each line, and ``tangent_counts`` the one
-place that counts its tangent lines through each point.  PG(5,n) has no
-line objects: a line there is the n+1 points ``span`` gives for a point
-pair, indexed with ``index_rows``.
+membership array (``PointSet``).  ``line_counts`` counts the points of a
+set on each line, a block of table rows at a time, and ``tangent_counts``
+its tangent lines through each point; the pencil search in ``analysis``
+makes a blocked pass of its own.  PG(5,n) has no line objects: a line
+there is the n+1 points ``span`` gives for a point pair, indexed with
+``index_rows``.
 
 Nothing is kept per point: a space holds its coordinate array
 (``coords_array``) and, for PG(2,n), its line table, and ``point`` decodes
@@ -25,7 +26,8 @@ import numpy as np
 from .gf import GF
 
 
-# line-table entries written per block of duals: PG(2,81) is one block
+# line-table entries written, or read by line_counts, per block of rows:
+# PG(2,81) is one block
 _LINE_BLOCK_ENTRIES = 1 << 20
 
 
@@ -318,8 +320,15 @@ class PointSet:
 
 
 def line_counts(S: PointSet):
-    """Number of points of S on each line of PG(2,n), indexed by line."""
-    return np.count_nonzero(S.member[S.space.lines], axis=1)
+    """Number of points of S on each line of PG(2,n), indexed by line.  The
+    line table is read a block of rows at a time, so the boolean
+    incidence of S is never table-sized."""
+    lines = S.space.lines
+    out = np.empty(len(lines), dtype=np.intp)
+    block = max(1, _LINE_BLOCK_ENTRIES // lines.shape[1])
+    for lo in range(0, len(lines), block):
+        out[lo : lo + block] = np.count_nonzero(S.member[lines[lo : lo + block]], axis=1)
+    return out
 
 
 def tangent_lines(S: PointSet):

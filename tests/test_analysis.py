@@ -24,11 +24,10 @@ from unitals.analysis import (
     no_external_points,
     random_invertible,
     verify_afkl,
-    _anchor_pairs,
     _hypothesis_matrix,
     _line_values,
     _point_keys,
-    _unique_tangents,
+    _scan_lines,
 )
 from unitals.cli import _prime_power
 from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil
@@ -338,7 +337,7 @@ def test_bitangent_pencil_identity_against_null_space():
     sets = [U, hermitian_unital(F), canonical_pencil(F, PencilKind.ELLIPTIC, 1).points()]
     pairs = 0
     for S in sets:
-        tangents = dict(zip(S.indices(), map(tuple, _unique_tangents(S).tolist())))
+        tangents = dict(zip(S.indices(), map(tuple, _scan_lines(S)[0].tolist())))
         for pi, qi in combinations(S.indices(), 2):
             P, Q = plane.point(pi), plane.point(qi)
             rows = [mon[pi].tolist(), mon[qi].tolist()]
@@ -438,36 +437,78 @@ def test_pencil_search_matches_exhaustive_on_unions_of_behs_conics(chosen, M):
     # collineation; the pencil search needs a unique tangent at every point
     union = reduce(or_, (_BEHS_CONICS_Q3[i].points() for i in chosen))
     S = transform_points(projective_plane(_F9), M, union)
-    if _unique_tangents(S) is None:
+    if _scan_lines(S)[0] is None:
         with pytest.raises(ValueError):
             conics_contained(S, method="pencil")
     else:
         assert conics_contained(S, method="pencil") == conics_contained(S, method="exhaustive")
 
 
-def _anchor_candidates(S):
+def _anchors_by_loop(S):
     """For each rank r of a point P of S, by a loop over the secants through
-    P: every shortest list of the ranks after r on one such secant."""
+    P in line order: the ranks after r on the first secant with the fewest
+    of them, or none when P is on no secant."""
     plane = S.space
     rank = {pt: r for r, pt in enumerate(S.indices())}
     secants = [plane.lines[li].tolist() for li in np.flatnonzero(line_counts(S) > 1)]
     out = []
     for pt, r in rank.items():
         laters = [sorted(rank[x] for x in line if rank.get(x, -1) > r) for line in secants if pt in line]
-        out.append([qs for qs in laters if len(qs) == min(map(len, laters))])
+        out.append(min(laters, key=len, default=[]))
     return out
+
+
+def _tangents_by_point(S):
+    """The dual vector of the one tangent line through each point of S, by a
+    count of S on every line through it, or None when some point has none
+    or several."""
+    plane = S.space
+    rows = plane.lines.tolist()
+    counts = [sum(S.member[x] for x in line) for line in rows]
+    out = []
+    for pt in S.indices():
+        tangents = [li for li, line in enumerate(rows) if pt in line and counts[li] == 1]
+        if len(tangents) != 1:
+            return None
+        out.append(plane.point(tangents[0]))
+    return out
+
+
+def _scan_sets(F):
+    """Unitals, a collineation image, the BEHS unital less one point and
+    plus one, a conic, a point and the empty set."""
+    plane = projective_plane(F)
+    U = behs_unital(F)[0]
+    extra = PointSet.from_indices(plane, [int(np.argmin(U.member))])
+    return [
+        U,
+        hermitian_unital(F),
+        transform_points(plane, random_invertible(F, random.Random(F.p)), U),
+        U - PointSet.from_indices(plane, [U.indices()[7]]),
+        U | extra,
+        canonical_pencil(F, PencilKind.PARABOLIC, 0).points(),
+        extra,
+        PointSet(plane, np.zeros(plane.npoints, dtype=bool)),
+    ]
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_anchor_pairs_match_oracle(p):
-    F = field(p, 2)
-    U = behs_unital(F)[0]
-    image = transform_points(projective_plane(F), random_invertible(F, random.Random(p)), U)
-    for S in (U, hermitian_unital(F), image):
-        ps, qs = (a.tolist() for a in _anchor_pairs(S))
+    nones = []
+    for S in _scan_sets(field(p, 2)):
+        tangents, ps, qs = _scan_lines(S)
+        nones.append(tangents is None)
+        ps, qs = ps.tolist(), qs.tolist()
         assert ps == sorted(ps)
-        for r, candidates in enumerate(_anchor_candidates(S)):
-            assert [q for pr, q in zip(ps, qs) if pr == r] in candidates
+        for r, anchor in enumerate(_anchors_by_loop(S)):
+            assert [q for pr, q in zip(ps, qs) if pr == r] == anchor
+        want = _tangents_by_point(S)
+        assert (tangents is None) == (want is None)
+        if want is not None:
+            assert list(map(tuple, tangents.tolist())) == want
+    # a unital less one point keeps a unique tangent at every point; with a
+    # point more, that point and its q+1 neighbours on old tangents have none
+    assert nones == [False, False, False, False, True, False, True, False]
 
 
 def test_pencil_search_chunks_do_not_change_output(monkeypatch):
@@ -514,28 +555,34 @@ def test_line_values_match_scalar_sums(F, data):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
-    # one secant per block, so that the running minimum meets every secant
-    # in a block of its own
-    F = field(p, 2)
-    U = behs_unital(F)[0]
-    sets = [U, hermitian_unital(F), transform_points(projective_plane(F), random_invertible(F, random.Random(p)), U)]
-    expected = [[a.tolist() for a in _anchor_pairs(S)] for S in sets]
+    # one line per block, so that the running minimum and the tangent
+    # counts meet every line in a block of its own
+    sets = _scan_sets(field(p, 2))
+
+    def scans():
+        return [[None if a is None else a.tolist() for a in _scan_lines(S)] for S in sets]
+
+    expected = scans()
     monkeypatch.setattr(analysis, "_CHUNK", 1)
-    assert [[a.tolist() for a in _anchor_pairs(S)] for S in sets] == expected
+    assert scans() == expected
 
 
-def test_anchor_pairs_memory_stays_below_the_line_table():
-    # the secants are read in blocks: at plane order 121 the peak is about
-    # 0.28x the line table, the boolean incidence of line_counts; a
-    # table-sized int32 temporary alone would be 1x
+def test_anchor_pairs_memory_stays_below_the_line_table(monkeypatch):
+    # the scan reads the line table in blocks of rows and keeps per-point
+    # arrays, the anchor rows and the pairs: at plane order 121, with the
+    # 7 MB table in 220 blocks, the peak is about 0.21x the table.  The
+    # old passes peaked at 0.28x, and one table-sized boolean copy alone
+    # would reach the bound
     S = behs_unital(field(11, 2))[0]
+    monkeypatch.setattr(analysis, "_CHUNK", 1 << 13)
     tracemalloc.start()
     try:
-        _anchor_pairs(S)
+        _scan_lines(S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * S.space.lines.nbytes
+    assert len(S.space.lines) > 200 * (analysis._CHUNK // S.space.lines.shape[1])
+    assert peak < 0.25 * S.space.lines.nbytes
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -559,7 +606,7 @@ def test_pencil_search_gathers_once_per_point(monkeypatch, p):
     for S in (U, hermitian_unital(F), image):
         entries = 0
         conics_contained(S, method="pencil")
-        ps = _anchor_pairs(S)[0]
+        ps = _scan_lines(S)[1]
         assert 0 < entries <= (len(ps) + 2 * len(np.unique(ps))) * S.card
 
 
@@ -571,7 +618,7 @@ def test_anchor_pairs_complexity_guard(q, behs, herm):
     F = field(p, 2 * e)
     sets = [(hermitian_unital(F), herm)] + ([(behs_unital(F)[0], behs)] if q % 2 else [])
     for S, count in sets:
-        assert len(_anchor_pairs(S)[0]) == count <= q * S.card
+        assert len(_scan_lines(S)[1]) == count <= q * S.card
 
 
 def test_verify_afkl_guard():

@@ -240,6 +240,9 @@ def test_usage_errors(capsys):
         "check --claim lemma2 --q 2",
         "check --claim lemma2 --q 4",
         "enum-conics --q 9 --method exhaustive --kind hermitian",
+        "build-unital --q 3 --kind hermitian --t 1",
+        "verify-unital --q 3 --kind hermitian --t 1",
+        "enum-conics --q 3 --points - --t 1",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -266,6 +269,10 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert "concern odd q" in captured.err
     if "exhaustive" in argv:
         assert "plane order 81 is above 25" in captured.err
+    if "--t 1" in argv:
+        # --t is refused before --points reads stdin
+        other = "--points" if "--points" in argv else "--kind hermitian"
+        assert f"cannot be given with {other}" in captured.err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

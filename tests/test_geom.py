@@ -253,6 +253,25 @@ def test_line_counts():
     assert through == [3 if S.member[pi] else 4 for pi in range(plane.npoints)]
 
 
+def test_line_counts_read_the_table_in_blocks(monkeypatch):
+    # at plane order 121, with the 7 MB table in 220 blocks of rows, the
+    # counts are those of the whole boolean incidence and the peak is the
+    # counts and one block, about 0.03x the table; the incidence itself
+    # would be 0.25x
+    plane = projective_plane(field(11, 2))
+    S = PointSet(plane, np.random.default_rng(11).random(plane.npoints) < 0.1)
+    whole = np.count_nonzero(S.member[plane.lines], axis=1)
+    monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1 << 13)
+    tracemalloc.start()
+    try:
+        counts = line_counts(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, whole)
+    assert peak < 0.04 * plane.lines.nbytes
+
+
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])
 def test_lines_match_scalar_incidence(p, h):
     # row li of the line table is {i : L.point(i) = 0} for the dual L with
