@@ -31,10 +31,11 @@ exactly when n-1 points R > P of S hit lam, and each conic inside S is
 found once, from its lowest point and its point on the anchor secant.
 
 The tangents and the anchor secants come from one pass over the line
-table, a block of rows at a time, with one gather of the ranks of S's
-points per block.  It gives each line's count of S, the tangent lines at
-each point of S (the search needs exactly one) and, per point, a running
-minimum of later*npoints + line over its secants, which names its anchor.
+table, the blocks of rows of ``geom.line_blocks``, with one gather of the
+ranks of S's points per block.  It gives each line's count of S, the
+tangent lines at each point of S (the search needs exactly one) and, per
+point, a running minimum of later*npoints + line over its secants, which
+names its anchor.
 
 The pairs of one P all span its anchor secant, so M is one line for all of
 them, and only L_Q changes from pair to pair.  The search computes
@@ -61,9 +62,9 @@ from operator import or_
 import numpy as np
 
 from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
-from .geom import PointSet, det3, projective_space, span
-from .gf import GF, QuadraticCharacter, _isqrt_exact
-from .unital import is_unital
+from .geom import PointSet, det3, line_blocks, projective_space, span
+from .gf import GF, QuadraticCharacter
+from .unital import is_unital, unital_q
 from .veronese import sorted_unique, veronese_point
 
 
@@ -204,8 +205,7 @@ def case1_exceptional_vpoints(F: GF, k: int, beta: int):
 
 # -- conic enumeration inside a point set ----------------------------------------
 
-# entries per gather: (row, R) pairs of the pencil search, line-table
-# entries of the scan
+# (row, R) entries per gather of the pencil search
 _CHUNK = 1 << 16
 
 
@@ -218,17 +218,16 @@ def _point_keys(F: GF, pts):
 def _line_values(F: GF, U, keys, table):
     """table[u(R)] for each row u of the (k, 3) array U and each point R
     given by its ``_point_keys``: a (k, points) array.  Per line,
-    A[r0*n + r1] = u0*r0 + u1*r1 and B[r2] = (u2*r2)*n, in a dtype that
-    holds n^2, so u(R) = a + b is read from the flat n^2 table at
+    A[r0*n + r1] = u0*r0 + u1*r1 and B[r2] = (u2*r2)*n, the row offsets
+    of u2*r2, so u(R) = a + b is read from the flat n^2 table at
     A + B = b*n + a: ``F.add_table.ravel()`` gives u(R) itself and
     ``f[F.add_table].ravel()`` gives f(u(R)).  Each entry is two row-wise
     takes, one sum and one gather."""
-    n = F.order
     mul = F.mul_table
     U = np.asarray(U)
     u1 = mul[U[:, 1]]
     A = np.concatenate([u1, F.add_table[U[:, :1], u1]], axis=1)
-    B = mul[U[:, 2]].astype(np.uint16 if n <= 256 else np.uint32) * n
+    B = F.row_offsets(mul[U[:, 2]])
     ka, kb = keys
     idx = B.take(kb, axis=1)
     idx += A.take(ka, axis=1)
@@ -286,10 +285,8 @@ def _scan_lines(S: PointSet):
     ntangents = np.zeros(N, dtype=np.int64)
     # the smallest later*npoints + line for each P names its anchor secant
     best = np.full(N, np.iinfo(np.int64).max)
-    block = max(1, _CHUNK // lines.shape[1])
-    for lo in range(0, npoints, block):
-        # one gather per block gives the counts, the tangents and the secants
-        on = rank.take(lines[lo : lo + block])
+    # one gather per block gives the counts, the tangents and the secants
+    for lo, on in line_blocks(S.space, rank):
         inside = on >= 0
         seen = np.cumsum(inside, axis=1, dtype=np.int32)
         count = seen[:, -1]
@@ -467,9 +464,7 @@ def lemma2_search(F: GF) -> DiffSetReport:
     that size cannot exist), so the ground set is the non-squares plus 0 and
     the report records which zero convention the coset match uses.
     """
-    q = _isqrt_exact(F.order)
-    if q is None:
-        raise ValueError("lemma2 search needs a square plane order")
+    q = unital_q(F)
     if F.p == 2:
         raise NotStated("the difference-set lemmas concern odd q")
     size, witnesses = _max_cliques(F, [0] + F.nonsquares())

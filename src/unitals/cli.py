@@ -33,6 +33,8 @@ import sys
 import traceback
 from functools import lru_cache, partial
 
+import numpy as np
+
 from . import analysis, gf, veronese
 from .conic import Conic, PencilKind, canonical_pencil
 from .geom import PointSet, projective_plane, projective_space, tangent_counts
@@ -57,7 +59,7 @@ def _conic_arg(F: GF, text: str, option: str) -> Conic:
     return Conic(F, tuple(F.require_element(int(c), option) for c in text.split(",")))
 
 
-def field_from_args(args, need_square=False) -> GF:
+def field_from_args(args) -> GF:
     modulus = None
     if getattr(args, "modulus", None):
         modulus = tuple(int(c) for c in args.modulus.split(","))
@@ -67,8 +69,6 @@ def field_from_args(args, need_square=False) -> GF:
     if getattr(args, "p", None) is not None:
         if args.h is None:
             raise ValueError("--p needs --h")
-        if need_square and args.h % 2:
-            raise ValueError("this command needs a square plane order (h even or use --q)")
         return gf.field(args.p, args.h, modulus)
     raise ValueError("specify the field with --q or with --p/--h")
 
@@ -148,21 +148,13 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
             C = Conic(F, coeffs)
             if C.rank() == 3:
                 conics.append(C)
-    counts_ok = True
-    agree_ok = True
-    for C in conics:
-        cls = C.classify_array()
-        on, ext, inn = int((cls == 0).sum()), int((cls == 1).sum()), int((cls == -1).sum())
-        if (on, ext, inn) != (n + 1, n * (n + 1) // 2, n * (n - 1) // 2):
-            counts_ok = False
-        # an irreducible conic's tangents are the lines meeting it once
-        cnt = tangent_counts(C.points())
-        if not (
-            ((cls == 1) == (cnt == 2)).all()
-            and ((cls == -1) == (cnt == 0)).all()
-            and ((cls == 0) == (cnt == 1)).all()
-        ):
-            agree_ok = False
+    # internal points, points of C, external points: cls + 1 is 0, 1, 2
+    census = [n * (n - 1) // 2, n + 1, n * (n + 1) // 2]
+    counts_ok = all(np.bincount(C.classify_array() + 1, minlength=3).tolist() == census for C in conics)
+    # an irreducible conic's tangents are the lines meeting it once; an
+    # internal point lies on none of them, a point of C on one, an
+    # external point on two
+    agree_ok = all((tangent_counts(C.points()) == C.classify_array() + 1).all() for C in conics)
     return {
         "claim": "theorem3",
         "field": F.describe(),
@@ -367,7 +359,9 @@ def cmd_field(args) -> int:
 def _build_set(args, F: GF):
     """(kind, point set, construction conics or None): the set read from
     --points is of kind "points", a built one of the kind --kind names.
-    --t parametrises the BEHS construction alone."""
+    --t parametrises the BEHS construction alone.  Every set lives in a
+    plane of square order."""
+    unital_q(F)
     if args.t is not None and (args.points or args.kind == "hermitian"):
         other = "--points" if args.points else "--kind hermitian"
         raise ValueError(f"--t sets the BEHS construction and cannot be given with {other}")
@@ -391,7 +385,7 @@ def _build_set(args, F: GF):
 
 
 def cmd_build_unital(args) -> int:
-    F = field_from_args(args, need_square=True)
+    F = field_from_args(args)
     kind, S, conics = _build_set(args, F)
     report = {
         "field": F.describe(),
@@ -407,7 +401,7 @@ def cmd_build_unital(args) -> int:
 
 
 def cmd_verify_unital(args) -> int:
-    F = field_from_args(args, need_square=True)
+    F = field_from_args(args)
     _, S, _ = _build_set(args, F)
     rep = is_unital(S)
     report = {"field": F.describe(), **_fields(rep)}
@@ -419,7 +413,7 @@ def cmd_verify_unital(args) -> int:
 
 
 def cmd_enum_conics(args) -> int:
-    F = field_from_args(args, need_square=True)
+    F = field_from_args(args)
     kind, S, _ = _build_set(args, F)
     conics = analysis.conics_contained(S, method=args.method)
     report = {
@@ -470,7 +464,7 @@ def cmd_check(args) -> int:
     if claim == "nucleus":
         report = run_nucleus()
     else:
-        F = field_from_args(args, need_square=claim in ("lemma1", "lemma2", "main"))
+        F = field_from_args(args)
         report = {
             "theorem3": lambda: run_theorem3(F, args.samples, args.seed),
             "lemma1": lambda: run_lemma1(F),
@@ -486,7 +480,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_report_all(args) -> int:
-    F = field_from_args(args, need_square=True)
+    F = field_from_args(args)
     q = unital_q(F)
     runs = [
         ({"claim": "unital"}, partial(run_unital_claim, F)),

@@ -51,13 +51,11 @@ def rank1_rows(F: GF, rows):
     field elements: a boolean array of shape rows.shape[:-1].  Each minor
     after the first, and the nonzero test, run only on the rows still
     alive (a zero row makes every minor vanish)."""
-    m = F.order
     mulf = F.mul_table.ravel()
-    wide = np.uint16 if m <= 256 else np.uint32
     flat = rows.reshape(-1, 6)
 
     def minor_vanishes(s, i, j, k, l):
-        return mulf[s[:, i].astype(wide) * m + s[:, j]] == mulf[s[:, k].astype(wide) * m + s[:, l]]
+        return mulf[F.row_offsets(s[:, i]) + s[:, j]] == mulf[F.row_offsets(s[:, k]) + s[:, l]]
 
     alive = np.flatnonzero(minor_vanishes(flat, *_MINOR_PAIRS[0]))
     for pair in _MINOR_PAIRS[1:]:
@@ -96,13 +94,11 @@ def eval_many(F: GF, coeffs, rows):
     values; the pairing is symmetric, so one point's monomials against
     coefficient rows works too.  Each product gathers from one row of the
     multiplication table, each sum from the flat addition table."""
-    m = F.order
     mul, add = F.mul_table, F.add_table.ravel()
-    wide = np.uint16 if m <= 256 else np.uint32
     acc = mul[coeffs[0]][rows[:, 0]]
     for j in range(1, 6):
         if coeffs[j]:
-            acc = add[acc.astype(wide) * m + mul[coeffs[j]][rows[:, j]]]
+            acc = add[F.row_offsets(acc) + mul[coeffs[j]][rows[:, j]]]
     return acc
 
 

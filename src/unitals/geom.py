@@ -6,10 +6,11 @@ vectors in lexicographic order; lines of PG(2,n) are enumerated by the same
 scheme through their dual vectors.  The incidence of PG(2,n) is one
 (npoints, n+1) int32 array, ``ProjectiveSpace.lines``, whose row li lists
 the points of line li in increasing order.  A point set is a boolean
-membership array (``PointSet``).  ``line_counts`` counts the points of a
-set on each line, a block of table rows at a time, and ``tangent_counts``
-its tangent lines through each point; the pencil search in ``analysis``
-makes a blocked pass of its own.  PG(5,n) has no line objects: a line
+membership array (``PointSet``).  ``line_blocks`` is the one blocked
+reader of the line table, a block of rows at a time; ``line_counts`` and
+the pencil search's scan in ``analysis`` walk it.  The only other reads
+take chosen rows: the tangent lines in ``tangent_counts`` and the anchor
+secants in ``analysis._scan_lines``.  PG(5,n) has no line objects: a line
 there is the n+1 points ``span`` gives for a point pair, indexed with
 ``index_rows``.
 
@@ -26,9 +27,11 @@ import numpy as np
 from .gf import GF
 
 
-# line-table entries written, or read by line_counts, per block of rows:
-# PG(2,81) is one block
-_LINE_BLOCK_ENTRIES = 1 << 20
+# line-table entries per block of rows, written by _build_lines or read
+# through line_blocks: PG(2,49) is one block.  The scan of the pencil
+# search keeps four temporaries of one item per entry; at 1 << 20 they
+# outgrow the cache, and it ran 35% slower at plane order 625 (2-vCPU host)
+_LINE_BLOCK_ENTRIES = 1 << 18
 
 
 class ProjectiveSpace:
@@ -116,10 +119,8 @@ class ProjectiveSpace:
         leading = rows[np.arange(len(rows)), lead]
         if not leading.all():
             raise ValueError(f"row {int(np.argmin(leading))} is zero and spans no projective point")
-        # mul(inv, x) sits at inv*m + x of the flat table; narrow indices
-        # (< m^2) gather faster than mul_table[inv, x]
-        wide = np.uint16 if m <= 256 else np.uint32
-        base = F.inv_table[leading].astype(wide) * m
+        # mul(inv, x) sits at inv*m + x of the flat table
+        base = F.row_offsets(F.inv_table[leading])
         mulf = F.mul_table.ravel()
         idx = mulf[base + rows[:, 0]].astype(np.int64)
         for t in range(1, self.dim + 1):
@@ -178,9 +179,7 @@ def span(F: GF, P, Q):
     out = np.empty(shape[:-1] + (m + 1, shape[-1]), dtype=dt)
     out[..., 0, :] = Q
     lam_q = F.mul_table[np.arange(m)[:, None], Q[..., None, :]]
-    # a flat-table gather on narrow indices (< m^2) is ~3x faster than add_table[P, lam_q]
-    wide = np.uint16 if m <= 256 else np.uint32
-    out[..., 1:, :] = F.add_table.ravel()[(P.astype(wide) * m)[..., None, :] + lam_q]
+    out[..., 1:, :] = F.add_table.ravel()[F.row_offsets(P)[..., None, :] + lam_q]
     return out
 
 
@@ -319,15 +318,22 @@ class PointSet:
         return PointSet(self.space, ~self.member)
 
 
-def line_counts(S: PointSet):
-    """Number of points of S on each line of PG(2,n), indexed by line.  The
-    line table is read a block of rows at a time, so the boolean
-    incidence of S is never table-sized."""
-    lines = S.space.lines
-    out = np.empty(len(lines), dtype=np.intp)
+def line_blocks(plane: ProjectiveSpace, values):
+    """(lo, values.take(lines[lo:hi])) for each block lo..hi of rows of the
+    line table of PG(2,n), about _LINE_BLOCK_ENTRIES entries a block: a
+    per-point array read along the lines, with no copy of the table's
+    size."""
+    lines = plane.lines
     block = max(1, _LINE_BLOCK_ENTRIES // lines.shape[1])
     for lo in range(0, len(lines), block):
-        out[lo : lo + block] = np.count_nonzero(S.member[lines[lo : lo + block]], axis=1)
+        yield lo, values.take(lines[lo : lo + block])
+
+
+def line_counts(S: PointSet):
+    """Number of points of S on each line of PG(2,n), indexed by line."""
+    out = np.empty(S.space.npoints, dtype=np.intp)
+    for lo, on in line_blocks(S.space, S.member):
+        out[lo : lo + len(on)] = np.count_nonzero(on, axis=1)
     return out
 
 

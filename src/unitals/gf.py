@@ -233,9 +233,6 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         return self._exp[-self._log[a] % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:
@@ -295,6 +292,14 @@ class GF:
     def _dtype(self):
         return np.uint8 if self.order <= 256 else np.uint16
 
+    def row_offsets(self, a):
+        """a*order for an array a of field elements, in the narrowest
+        unsigned dtype that holds every index below order^2: the offset of
+        row a in an order x order table's ``ravel()``, where table[a, b]
+        sits at a*order + b.  A flat gather on such narrow indices runs
+        about 3x faster than the 2-D table[a, b]."""
+        return a.astype(np.uint16 if self.order <= 256 else np.uint32) * self.order
+
     @_built_on_first_use
     def add_table(self):
         if self.order > TABLE_LIMIT:
@@ -341,14 +346,6 @@ class GF:
         """int8 table: 0 for zero, 1 for nonzero squares, -1 for non-squares."""
         nonsquare = (self.log_table % 2 == 1) & (self.p != 2)
         return np.select([np.arange(self.order) == 0, nonsquare], [0, -1], 1).astype(np.int8)
-
-
-def _isqrt_exact(n: int):
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1):
-        if c * c == n:
-            return c
-    return None
 
 
 @lru_cache(maxsize=None)

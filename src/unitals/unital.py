@@ -9,19 +9,20 @@ boolean; the profile doubles as the two-intersection-set witness.
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt
 from operator import or_
 
 import numpy as np
 
 from .conic import PencilKind, canonical_pencil
 from .geom import PointSet, line_counts, projective_plane, tangent_counts
-from .gf import GF, _isqrt_exact
+from .gf import GF
 
 
 def unital_q(F: GF) -> int:
     """q such that the plane order is q^2."""
-    q = _isqrt_exact(F.order)
-    if q is None:
+    q = isqrt(F.order)
+    if q * q != F.order:
         raise ValueError(f"plane order {F.order} is not a square")
     return q
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitals import analysis, cli
+from unitals import analysis, cli, geom
 from unitals.analysis import (
     NotStated,
     PencilType,
@@ -33,7 +33,7 @@ from unitals.cli import _prime_power
 from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil
 from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field
-from unitals.unital import behs_unital, hermitian_unital, unital_q
+from unitals.unital import behs_unital, hermitian_unital, is_unital, unital_q
 from unitals.veronese import veronese_point
 from oracles import PointClass, classify_point, line_through, nullspace, transform_points
 
@@ -555,15 +555,18 @@ def test_line_values_match_scalar_sums(F, data):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
-    # one line per block, so that the running minimum and the tangent
-    # counts meet every line in a block of its own
+    # one line per block, so that the running minimum, the tangent counts
+    # and the line counts meet every line in a block of its own
     sets = _scan_sets(field(p, 2))
 
     def scans():
-        return [[None if a is None else a.tolist() for a in _scan_lines(S)] for S in sets]
+        return [
+            [None if a is None else a.tolist() for a in _scan_lines(S)] + [line_counts(S).tolist(), is_unital(S)]
+            for S in sets
+        ]
 
     expected = scans()
-    monkeypatch.setattr(analysis, "_CHUNK", 1)
+    monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1)
     assert scans() == expected
 
 
@@ -574,14 +577,14 @@ def test_anchor_pairs_memory_stays_below_the_line_table(monkeypatch):
     # old passes peaked at 0.28x, and one table-sized boolean copy alone
     # would reach the bound
     S = behs_unital(field(11, 2))[0]
-    monkeypatch.setattr(analysis, "_CHUNK", 1 << 13)
+    monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1 << 13)
     tracemalloc.start()
     try:
         _scan_lines(S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(S.space.lines) > 200 * (analysis._CHUNK // S.space.lines.shape[1])
+    assert len(S.space.lines) > 200 * (geom._LINE_BLOCK_ENTRIES // S.space.lines.shape[1])
     assert peak < 0.25 * S.space.lines.nbytes
 
 
@@ -721,7 +724,7 @@ def _pencil_parameter_by_null_space(F, base, tangent_sq, Ci):
     mu, a, rho = ns[0]
     if mu == 0 or rho == 0:
         return None
-    return F.div(a, mu)
+    return F.mul(a, F.inv(mu))
 
 
 @pytest.mark.parametrize("spec", [(3, 1), (2, 2), (3, 2), (13, 1), (2, 4), (5, 2), (7, 2)])
@@ -825,7 +828,7 @@ def test_case1_nonsquare_parameter_conic_hits_external_point():
                 F,
                 (omk, F.mul(omk, F.mul(b, b)), F.mul(F.add(k, k), b), F.neg(F.mul(F.add(k, 1), b)), 0, 0),
             )
-            y2 = F.div(F.add(k, k), F.mul(F.sub(k, 1), b))
+            y2 = F.mul(F.add(k, k), F.inv(F.mul(F.sub(k, 1), b)))
             P = (0, next(y for y in F.elements() if F.mul(y, y) == y2), 1)
             assert E.evaluate(P) == 0
             assert classify_point(C, P) == PointClass.EXTERNAL

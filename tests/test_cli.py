@@ -243,6 +243,10 @@ def test_usage_errors(capsys):
         "build-unital --q 3 --kind hermitian --t 1",
         "verify-unital --q 3 --kind hermitian --t 1",
         "enum-conics --q 3 --points - --t 1",
+        "check --claim lemma1 --p 3 --h 3",
+        "build-unital --p 3 --h 1",
+        "check --claim main --p 2 --h 3",
+        "report-all --p 3 --h 3",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -259,13 +263,13 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         assert f"modulus coefficient {bad} is not in 0..2" in captured.err
     if argv.endswith("--k 2"):
         assert "admissible: 3, 6" in captured.err
-    if "--p 2" in argv:
+    if "--p 2 --h 2" in argv:
         assert "odd characteristic" in captured.err
     if "--samples" in argv:
         assert "--samples must be at least 0" in captured.err
     if argv == "check --claim afkl --q 3":
         assert "orders >= 17" in captured.err
-    if "lemma" in argv:
+    if "lemma" in argv and "--q" in argv:
         assert "concern odd q" in captured.err
     if "exhaustive" in argv:
         assert "plane order 81 is above 25" in captured.err
@@ -273,6 +277,10 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         # --t is refused before --points reads stdin
         other = "--points" if "--points" in argv else "--kind hermitian"
         assert f"cannot be given with {other}" in captured.err
+    if argv.endswith(("--h 1", "--h 3")):
+        words = argv.split()
+        p, h = (int(words[words.index(flag) + 1]) for flag in ("--p", "--h"))
+        assert f"plane order {p**h} is not a square" in captured.err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -212,6 +212,19 @@ def test_numpy_tables_match_scalar_ops():
             getattr(big, name)
 
 
+@pytest.mark.parametrize("p,h,dtype", [(2, 8, np.uint16), (17, 2, np.uint32)])
+def test_row_offsets_index_the_flat_tables(p, h, dtype):
+    # 255*256 + 255 is the largest uint16; at order 289 the last index,
+    # 288*289 + 288, needs uint32
+    F = field(p, h)
+    elems = np.arange(F.order, dtype=F.add_table.dtype)
+    offsets = F.row_offsets(elems)
+    assert offsets.dtype == dtype
+    idx = offsets[:, None] + elems
+    assert idx.ravel().tolist() == list(range(F.order**2))
+    assert np.array_equal(F.add_table.ravel()[idx], F.add_table)
+
+
 def test_nullspace():
     F = field(3, 2)
     basis = nullspace(F, [(1, 1, 0), (0, 0, 1)])
