@@ -32,10 +32,16 @@ found once, from its lowest point and its point on the anchor secant.
 
 The tangents and the anchor secants come from one pass over the line
 table, the blocks of rows of ``geom.line_blocks``, with one gather of the
-ranks of S's points per block.  It gives each line's count of S, the
-tangent lines at each point of S (the search needs exactly one) and, per
-point, a running minimum of later*npoints + line over its secants, which
-names its anchor.
+ranks of S's points per block.  The pass keeps only the flat positions of
+the block's entries in S.  They come line by line, and within a line in
+rank order, so an entry's line is its position // (n+1), the lines'
+counts of S are one bincount of those lines, and the points of S after
+an entry on its line are the cumulative count up to its line's end less
+the entries up to it.  So the pass gives each line's count of S, which
+the unital check of ``certify_union_of_conics`` reads too, the tangent
+lines at each point of S (the search needs exactly one) and, per point,
+a running minimum of later*npoints + line over its secants, which names
+its anchor.
 
 The pairs of one P all span its anchor secant, so M is one line for all of
 them, and only L_Q changes from pair to pair.  The search computes
@@ -64,7 +70,7 @@ import numpy as np
 from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
 from .geom import PointSet, det3, line_blocks, projective_space, span
 from .gf import GF, QuadraticCharacter
-from .unital import is_unital, unital_q
+from .unital import _unital_report, unital_q
 from .veronese import sorted_unique, veronese_point
 
 
@@ -271,41 +277,49 @@ def _conics_contained_exhaustive(S: PointSet):
 
 
 def _scan_lines(S: PointSet):
-    """(tangents, p, q) from one blocked pass over the line table (see the
-    module docstring).  tangents is the (|S|, 3) array whose row i is the
-    dual vector of the one tangent line through the i-th point of S, or
-    None when some point has none or several.  (p, q) are the position
+    """(counts, tangents, p, q) from one blocked pass over the line table,
+    each block read at the flat positions of its entries in S (see the
+    module docstring).  counts[li] is the number of points of S on line
+    li, as ``line_counts`` gives it; ``certify_union_of_conics`` checks
+    the unital on them.  tangents is the (|S|, 3) array whose row i is
+    the dual vector of the one tangent line through the i-th point of S,
+    or None when some point has none or several.  (p, q) are the position
     pairs of the pencil search, sorted: for each point P of S on a secant,
     the later points Q of S on its anchor secant."""
     lines = S.space.lines
-    npoints = len(lines)
+    npoints, width = lines.shape
     N = S.card
     rank = np.where(S.member, np.cumsum(S.member, dtype=np.int32) - 1, -1)
+    counts = np.empty(npoints, dtype=lines.dtype)
     tangent = np.zeros(N, dtype=np.int64)
     ntangents = np.zeros(N, dtype=np.int64)
     # the smallest later*npoints + line for each P names its anchor secant
-    best = np.full(N, np.iinfo(np.int64).max)
-    # one gather per block gives the counts, the tangents and the secants
+    never = np.iinfo(np.int64).max
+    best = np.full(N, never)
     for lo, on in line_blocks(S.space, rank):
-        inside = on >= 0
-        seen = np.cumsum(inside, axis=1, dtype=np.int32)
-        count = seen[:, -1]
-        # a tangent's row holds one point of S, its one rank >= 0
-        touch = np.flatnonzero(count == 1)
-        touched = on[touch].max(axis=1)
-        tangent[touched] = touch + lo
+        on = on.ravel()
+        pos = np.flatnonzero(on >= 0)
+        li = pos // width
+        r = on[pos]
+        count = np.bincount(li, minlength=len(on) // width)
+        counts[lo : lo + len(count)] = count
+        # a tangent's one entry is the only one of its line
+        touch = count[li] == 1
+        touched = r[touch]
+        tangent[touched] = li[touch] + lo
         np.add.at(ntangents, touched, 1)
-        # a line's points are sorted, so its points of S come in rank order
-        # and count - seen counts those after each
-        li, col = np.nonzero(inside & (count > 1)[:, None])
-        later = count[li] - seen[li, col]
-        np.minimum.at(best, on[li, col], later * np.int64(npoints) + (li + lo))
+        # the block's entries up to the end of entry i's line, less i + 1,
+        # are the points of S after it on that line
+        later = np.cumsum(count)[li] - np.arange(len(pos)) - 1
+        key = later * np.int64(npoints) + (li + lo)
+        key[touch] = never  # a tangent is no anchor
+        np.minimum.at(best, r, key)
     tangents = S.space.coords_array()[tangent] if (ntangents == 1).all() else None
     # a point on no secant has no anchor and no pairs
-    (ps,) = np.nonzero(best < np.iinfo(np.int64).max)
+    (ps,) = np.nonzero(best < never)
     anchor = rank[lines[best[ps] % npoints]]
     p, c = np.nonzero(anchor > ps[:, None])
-    return tangents, ps[p], anchor[p, c]
+    return counts, tangents, ps[p], anchor[p, c]
 
 
 def _conics_contained_pencils(S: PointSet, tangents, p, q):
@@ -397,7 +411,7 @@ def conics_contained(S: PointSet, method: str = "auto"):
     if method not in ("auto", "pencil", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     if method != "exhaustive":
-        tangents, p, q = _scan_lines(S)
+        _, tangents, p, q = _scan_lines(S)
         if tangents is not None:
             return _conics_contained_pencils(S, tangents, p, q)
         if method == "pencil":
@@ -615,12 +629,14 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     must: a contained conic's nucleus would collect q^2+1 tangent lines.
     The certificate is made once; each step sets the fields it establishes.
     """
-    report = is_unital(S)
+    counts, tangents, ps, qs = _scan_lines(S)
+    report = _unital_report(S, counts)
     if not report.is_unital:
         raise ValueError("certificate requires a verified unital")
     F = S.space.field
     q = report.q
-    conics = conics_contained(S)
+    # a unital has one tangent at each of its points
+    conics = _conics_contained_pencils(S, tangents, ps, qs)
     odd = F.p != 2
     cert = UnionCertificate(q, odd, False, None, conics)
     if not conics:

@@ -9,7 +9,7 @@ the points of line li in increasing order.  A point set is a boolean
 membership array (``PointSet``).  ``line_blocks`` is the one blocked
 reader of the line table, a block of rows at a time; ``line_counts`` and
 the pencil search's scan in ``analysis`` walk it.  The only other reads
-take chosen rows: the tangent lines in ``tangent_counts`` and the anchor
+take chosen rows: the tangent lines in ``lines_through`` and the anchor
 secants in ``analysis._scan_lines``.  PG(5,n) has no line objects: a line
 there is the n+1 points ``span`` gives for a point pair, indexed with
 ``index_rows``.
@@ -29,8 +29,9 @@ from .gf import GF
 
 # line-table entries per block of rows, written by _build_lines or read
 # through line_blocks: PG(2,49) is one block.  The scan of the pencil
-# search keeps four temporaries of one item per entry; at 1 << 20 they
-# outgrow the cache, and it ran 35% slower at plane order 625 (2-vCPU host)
+# search keeps two temporaries per entry, the gathered ranks and their
+# mask; with the four it used to keep, 1 << 20 outgrew the cache and the
+# scan ran 35% slower at plane order 625 (2-vCPU host)
 _LINE_BLOCK_ENTRIES = 1 << 18
 
 
@@ -343,8 +344,13 @@ def tangent_lines(S: PointSet):
     return np.flatnonzero(line_counts(S) == 1)
 
 
+def lines_through(plane: ProjectiveSpace, chosen):
+    """Number of the chosen lines of PG(2,n), an array of line indices,
+    through each point, indexed by point."""
+    return np.bincount(plane.lines[chosen].ravel(), minlength=plane.npoints)
+
+
 def tangent_counts(S: PointSet):
     """Number of tangent lines of S (lines meeting it in one point) through
     each point of PG(2,n), indexed by point."""
-    plane = S.space
-    return np.bincount(plane.lines[tangent_lines(S)].ravel(), minlength=plane.npoints)
+    return lines_through(S.space, tangent_lines(S))

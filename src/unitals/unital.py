@@ -15,7 +15,7 @@ from operator import or_
 import numpy as np
 
 from .conic import PencilKind, canonical_pencil
-from .geom import PointSet, line_counts, projective_plane, tangent_counts
+from .geom import PointSet, line_counts, lines_through, projective_plane
 from .gf import GF
 
 
@@ -69,13 +69,16 @@ class UnitalReport:
 def is_unital(S: PointSet) -> UnitalReport:
     """Full line-intersection profile of a point set; a unital meets every
     line in 1 or q+1 points and has q^3+1 points."""
-    plane = S.space
-    q = unital_q(plane.field)
-    sizes = line_counts(S)
-    profile = _profile(sizes)
+    return _unital_report(S, line_counts(S))
+
+
+def _unital_report(S: PointSet, sizes) -> UnitalReport:
+    """``is_unital`` from the number of points of S on each line, so that
+    a caller that has counted them does not count again."""
+    q = unital_q(S.space.field)
     failures = np.flatnonzero((sizes != 1) & (sizes != q + 1)).tolist()
     ok = S.card == q**3 + 1 and not failures
-    return UnitalReport(ok, q, S.card, profile, failures)
+    return UnitalReport(ok, q, S.card, _profile(sizes), failures)
 
 
 @dataclass
@@ -89,12 +92,14 @@ class TangentReport:
 
 def tangent_structure(S: PointSet) -> TangentReport:
     """Per-point tangent counts of a verified unital: 1 tangent and q^2
-    secants on the unital, q+1 tangents and q^2-q secants off it."""
-    report = is_unital(S)
+    secants on the unital, q+1 tangents and q^2-q secants off it.  The
+    tangent lines come from the line counts of the unital check."""
+    sizes = line_counts(S)
+    report = _unital_report(S, sizes)
     if not report.is_unital:
         raise ValueError("tangent structure is only defined for unitals")
     q = report.q
-    per_point = tangent_counts(S)
+    per_point = lines_through(S.space, np.flatnonzero(sizes == 1))
     on = S.member
     on_profile = _profile(per_point[on])
     off_profile = _profile(per_point[~on])

@@ -33,7 +33,7 @@ from unitals.cli import _prime_power
 from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil
 from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field
-from unitals.unital import behs_unital, hermitian_unital, is_unital, unital_q
+from unitals.unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
 from unitals.veronese import veronese_point
 from oracles import PointClass, classify_point, line_through, nullspace, transform_points
 
@@ -337,7 +337,7 @@ def test_bitangent_pencil_identity_against_null_space():
     sets = [U, hermitian_unital(F), canonical_pencil(F, PencilKind.ELLIPTIC, 1).points()]
     pairs = 0
     for S in sets:
-        tangents = dict(zip(S.indices(), map(tuple, _scan_lines(S)[0].tolist())))
+        tangents = dict(zip(S.indices(), map(tuple, _scan_lines(S)[1].tolist())))
         for pi, qi in combinations(S.indices(), 2):
             P, Q = plane.point(pi), plane.point(qi)
             rows = [mon[pi].tolist(), mon[qi].tolist()]
@@ -437,7 +437,7 @@ def test_pencil_search_matches_exhaustive_on_unions_of_behs_conics(chosen, M):
     # collineation; the pencil search needs a unique tangent at every point
     union = reduce(or_, (_BEHS_CONICS_Q3[i].points() for i in chosen))
     S = transform_points(projective_plane(_F9), M, union)
-    if _scan_lines(S)[0] is None:
+    if _scan_lines(S)[1] is None:
         with pytest.raises(ValueError):
             conics_contained(S, method="pencil")
     else:
@@ -496,7 +496,8 @@ def _scan_sets(F):
 def test_anchor_pairs_match_oracle(p):
     nones = []
     for S in _scan_sets(field(p, 2)):
-        tangents, ps, qs = _scan_lines(S)
+        counts, tangents, ps, qs = _scan_lines(S)
+        assert counts.tolist() == line_counts(S).tolist()
         nones.append(tangents is None)
         ps, qs = ps.tolist(), qs.tolist()
         assert ps == sorted(ps)
@@ -553,17 +554,20 @@ def test_line_values_match_scalar_sums(F, data):
     assert _line_values(F, U, keys, f[F.add_table].ravel()).tolist() == f[np.array(want)].tolist()
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
     # one line per block, so that the running minimum, the tangent counts
-    # and the line counts meet every line in a block of its own
+    # and the line counts meet every line in a block of its own; in either
+    # blocking the scan's counts are line_counts'
     sets = _scan_sets(field(p, 2))
 
     def scans():
-        return [
-            [None if a is None else a.tolist() for a in _scan_lines(S)] + [line_counts(S).tolist(), is_unital(S)]
-            for S in sets
-        ]
+        out = []
+        for S in sets:
+            scan = [None if a is None else a.tolist() for a in _scan_lines(S)]
+            assert scan[0] == line_counts(S).tolist()
+            out.append(scan + [is_unital(S)])
+        return out
 
     expected = scans()
     monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1)
@@ -571,11 +575,12 @@ def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
 
 
 def test_anchor_pairs_memory_stays_below_the_line_table(monkeypatch):
-    # the scan reads the line table in blocks of rows and keeps per-point
-    # arrays, the anchor rows and the pairs: at plane order 121, with the
-    # 7 MB table in 220 blocks, the peak is about 0.21x the table.  The
-    # old passes peaked at 0.28x, and one table-sized boolean copy alone
-    # would reach the bound
+    # the scan reads the line table in blocks of rows, each at the flat
+    # positions of its entries in S, and keeps per-point arrays, the line
+    # counts, the anchor rows and the pairs: at plane order 121, with the
+    # 7 MB table in 220 blocks, the peak is 0.217x the table.  Older
+    # passes peaked at 0.28x, and one table-sized boolean copy alone would
+    # reach the bound
     S = behs_unital(field(11, 2))[0]
     monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1 << 13)
     tracemalloc.start()
@@ -609,7 +614,7 @@ def test_pencil_search_gathers_once_per_point(monkeypatch, p):
     for S in (U, hermitian_unital(F), image):
         entries = 0
         conics_contained(S, method="pencil")
-        ps = _scan_lines(S)[1]
+        ps = _scan_lines(S)[2]
         assert 0 < entries <= (len(ps) + 2 * len(np.unique(ps))) * S.card
 
 
@@ -621,7 +626,7 @@ def test_anchor_pairs_complexity_guard(q, behs, herm):
     F = field(p, 2 * e)
     sets = [(hermitian_unital(F), herm)] + ([(behs_unital(F)[0], behs)] if q % 2 else [])
     for S, count in sets:
-        assert len(_scan_lines(S)[1]) == count <= q * S.card
+        assert len(_scan_lines(S)[2]) == count <= q * S.card
 
 
 def test_verify_afkl_guard():
@@ -705,6 +710,41 @@ def test_certify_even_q():
         assert cert.notes and "nucleus" in cert.notes[0]
 
 
+def _count_walks(monkeypatch):
+    """A list that grows by one entry each time analysis or geom starts a
+    walk over the line table through line_blocks."""
+    walks = []
+    line_blocks = geom.line_blocks
+
+    def counted(plane, values):
+        walks.append(plane)
+        return line_blocks(plane, values)
+
+    monkeypatch.setattr(geom, "line_blocks", counted)
+    monkeypatch.setattr(analysis, "line_blocks", counted)
+    return walks
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_certify_walks_the_line_table_once_per_unital(monkeypatch, p):
+    # the scan's line counts serve the unital check too
+    F = field(p, 2)
+    sets = [behs_unital(F)[0], hermitian_unital(F)]
+    walks = _count_walks(monkeypatch)
+    certs = [certify_union_of_conics(S) for S in sets]
+    assert [c.signature for c in certs] == ["BEHS", None]
+    assert len(walks) == len(sets)
+
+
+def test_tangent_structure_walks_the_line_table_once(monkeypatch):
+    # the tangent lines come from the counts of the unital check
+    F = field(5, 2)
+    sets = [behs_unital(F)[0], hermitian_unital(F)]
+    walks = _count_walks(monkeypatch)
+    assert all(tangent_structure(S).ok for S in sets)
+    assert len(walks) == len(sets)
+
+
 def test_certify_requires_unital():
     from unitals.geom import PointSet
 
@@ -783,10 +823,10 @@ def test_certificate_return_paths_are_byte_identical(monkeypatch, path):
     elif path == "no_conics_even":
         U = hermitian_unital(field(2, 2))
     elif path == "uncovered":
-        monkeypatch.setattr(analysis, "conics_contained", lambda S: conics[:-1])
+        monkeypatch.setattr(analysis, "_conics_contained_pencils", lambda S, *scan: conics[:-1])
     elif path == "pairwise_structure":
         extra = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-        monkeypatch.setattr(analysis, "conics_contained", lambda S: conics + [extra])
+        monkeypatch.setattr(analysis, "_conics_contained_pencils", lambda S, *scan: conics + [extra])
     elif path == "shared_tangent":
         tangent_at = Conic.tangent_at
         bent = lambda C, P: (1, 0, 0) if C == conics[1] else tangent_at(C, P)
