@@ -41,17 +41,21 @@ the entries up to it.  So the pass gives each line's count of S, which
 the unital check of ``certify_union_of_conics`` reads too, the tangent
 lines at each point of S (the search needs exactly one) and, per point,
 a running minimum of later*npoints + line over its secants, which names
-its anchor.
+its anchor and gives each pair the index of its line.
 
 The pairs of one P all span its anchor secant, so M is one line for all of
-them, and only L_Q changes from pair to pair.  The search computes
-M(R)^2 and L_P(R) once per P, from one representative of M, and L_Q(R)
-once per pair.  A line u is read at the points of S through two small
-tables: a normalised R has r0 = 0 or 1, so u0*r0 + u1*r1 takes one of 2n
-values, keyed by r0*n + r1, and u2*r2 one of n, keyed by r2.  Their sum
-indexes a flat n^2 table that holds what the count needs of u(R), its
-log squared or its log inverse, so each value is two takes and one
-gather.
+them, and only L_Q changes from pair to pair.  The search takes M as the
+dual vector of the anchor line, a scalar multiple c of P x Q: that scales
+each lam by c^2 and leaves the members, so the conics found are the same.
+It computes M(R)^2 and L_P(R) once per P and L_Q(R) once per pair.  A
+line u is read at the points of S through two small tables: a normalised
+R has r0 = 0 or 1, so u0*r0 + u1*r1 takes one of 2n values, keyed by
+r0*n + r1, and u2*r2 one of n, keyed by r2.  Their sum indexes a flat n^2
+table that holds what the count needs of u(R), its log squared or its log
+inverse, so each value is two takes and one gather.  The two log tables
+are built once per field.  The count bins the sums of the three logs as
+they are, and folds the bins mod n-1 into one count per member; log -1
+is added to the few members hit n-1 times alone.
 
 Neither the identity nor the anchor argument divides by 2, so the search
 runs in every characteristic.  Two things differ in characteristic 2: the
@@ -61,7 +65,7 @@ coefficient of x_i*x_j (i != j) is not halved, and log -1 is 0.
 import enum
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 
@@ -70,7 +74,7 @@ import numpy as np
 from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
 from .geom import PointSet, det3, line_blocks, projective_space, span
 from .gf import GF, QuadraticCharacter
-from .unital import _unital_report, unital_q
+from .unital import is_unital, unital_q
 from .veronese import sorted_unique, veronese_point
 
 
@@ -211,8 +215,11 @@ def case1_exceptional_vpoints(F: GF, k: int, beta: int):
 
 # -- conic enumeration inside a point set ----------------------------------------
 
-# (row, R) entries per gather of the pencil search
-_CHUNK = 1 << 16
+# (row, R) entries per chunk of the pencil search.  Each chunk pays a fixed
+# cost and keeps a few entry-sized temporaries, about 17 bytes an entry at
+# the peak; 1 << 18 ran 5-25% faster than 1 << 16 at plane orders 121 to
+# 529 and holds the peak near 4.4 MB
+_CHUNK = 1 << 18
 
 
 def _point_keys(F: GF, pts):
@@ -238,17 +245,6 @@ def _line_values(F: GF, U, keys, table):
     idx = B.take(kb, axis=1)
     idx += A.take(ka, axis=1)
     return table[idx]
-
-
-def _cross(F: GF, U, V):
-    """U x V over F for broadcast (..., 3) arrays: the line through two
-    points, or the point on two lines."""
-    mul, add, neg = F.mul_table, F.add_table, F.neg_table
-
-    def minor(i, j):
-        return add[mul[U[..., i], V[..., j]], neg[mul[U[..., j], V[..., i]]]]
-
-    return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
 
 
 def _conics_contained_exhaustive(S: PointSet):
@@ -277,15 +273,16 @@ def _conics_contained_exhaustive(S: PointSet):
 
 
 def _scan_lines(S: PointSet):
-    """(counts, tangents, p, q) from one blocked pass over the line table,
-    each block read at the flat positions of its entries in S (see the
-    module docstring).  counts[li] is the number of points of S on line
-    li, as ``line_counts`` gives it; ``certify_union_of_conics`` checks
-    the unital on them.  tangents is the (|S|, 3) array whose row i is
-    the dual vector of the one tangent line through the i-th point of S,
-    or None when some point has none or several.  (p, q) are the position
-    pairs of the pencil search, sorted: for each point P of S on a secant,
-    the later points Q of S on its anchor secant."""
+    """(counts, tangents, p, q, line) from one blocked pass over the line
+    table, each block read at the flat positions of its entries in S (see
+    the module docstring).  counts[li] is the number of points of S on
+    line li, as ``line_counts`` gives it; ``certify_union_of_conics``
+    checks the unital on them.  tangents is the (|S|, 3) array whose row i
+    is the dual vector of the one tangent line through the i-th point of
+    S, or None when some point has none or several.  (p, q) are the
+    position pairs of the pencil search, sorted: for each point P of S on
+    a secant, the later points Q of S on its anchor secant, whose index
+    is line."""
     lines = S.space.lines
     npoints, width = lines.shape
     N = S.card
@@ -317,49 +314,63 @@ def _scan_lines(S: PointSet):
     tangents = S.space.coords_array()[tangent] if (ntangents == 1).all() else None
     # a point on no secant has no anchor and no pairs
     (ps,) = np.nonzero(best < never)
-    anchor = rank[lines[best[ps] % npoints]]
+    line = best[ps] % npoints
+    anchor = rank[lines[line]]
     p, c = np.nonzero(anchor > ps[:, None])
-    return counts, tangents, ps[p], anchor[p, c]
+    return counts, tangents, ps[p], anchor[p, c], line[p]
 
 
-def _conics_contained_pencils(S: PointSet, tangents, p, q):
+@lru_cache(maxsize=None)
+def _log_tables(F: GF):
+    """(log (a + b)^2, log 1/(a + b)), read-only int16 flat n^2 tables
+    read at b*n + a, as ``_line_values`` reads them.  The logs are mod
+    g = n-1; log 0^2 is the sentinel 3g-2, past any sum of three valid
+    logs, and log 1/0 is never read, as R is off L_P and L_Q."""
+    g = F.order - 1
+    log_sq = (2 * F.log_table % g).astype(np.int16)
+    log_sq[0] = 3 * g - 2
+    log_inv = (-F.log_table % g).astype(np.int16)
+    tables = log_sq[F.add_table].ravel(), log_inv[F.add_table].ravel()
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _conics_contained_pencils(S: PointSet, tangents, p, q, line):
     """Bitangent-pencil search by counting (the argument is in the module
     docstring).  For each anchor pair (P, Q), count the points R > P of S
-    on each member lam of M^2 + lam*L_P*L_Q; a member hit n-1 times is a
-    conic inside S whose lowest point is P.
+    on each member lam of M^2 + lam*L_P*L_Q, M the dual vector of the
+    anchor line; a member hit n-1 times is a conic inside S whose lowest
+    point is P.
 
-    The count works in int16 discrete logarithms, log lam = log -1 +
-    log M(R)^2 + log 1/L_P(R) + log 1/L_Q(R), over chunks of rows.  Only
-    M(R) can be 0 (R on the line PQ, P and Q included); its log is a
-    sentinel past any sum of three valid logs, and one lookup maps a sum
-    to log lam or to a dump column g.  Every sum is below 5g, which fits
-    int16 up to order TABLE_LIMIT.  Each chunk sums log M(R)^2 + log
-    1/L_P(R) once per P, M taken from P's first pair for all its rows, and
-    gives the rows of P a copy with one take."""
+    The count works in int16 discrete logarithms, log lam = log -1 + s mod
+    g, s = log M(R)^2 + log 1/L_P(R) + log 1/L_Q(R), over chunks of rows.
+    Only M(R) can be 0 (R on the line PQ, P and Q included); its log is a
+    sentinel 3g-2 past any valid s, so every s is below 5g, which fits
+    int16 up to order TABLE_LIMIT.  One bincount of s + row*5g counts the
+    chunk's sums; the columns below the sentinel, folded mod g, give each
+    row's hits per member, and log -1 is added to the hits alone.  Each
+    chunk sums log M(R)^2 + log 1/L_P(R) once per P and gives the rows of
+    P a copy with one take."""
     plane = S.space
     F = plane.field
     n, g = F.order, F.order - 1
     pts = plane.coords_array()[S.member]
     N = len(pts)
     # a conic has n points after its lowest
-    p, q = p[p < N - n], q[p < N - n]
+    keep = p < N - n
+    p, q, line = p[keep], q[keep], line[keep]
     if len(p) == 0:
         return []
-    zero = 3 * g - 2
-    lookup = np.full(zero + 2 * g - 1, g, dtype=np.int16)
-    lookup[:zero] = (np.arange(zero) + F.log_table[F.neg(1)]) % g
-    log_inv = (-F.log_table % g).astype(np.int16)
-    log_sq = (2 * F.log_table % g).astype(np.int16)
-    log_sq[0] = zero
-    # read at b*n + a, they give log (a + b)^2 and log 1/(a + b)
-    sq_of_sum, inv_of_sum = log_sq[F.add_table].ravel(), log_inv[F.add_table].ravel()
+    zero, width = 3 * g - 2, 5 * g
+    sq_of_sum, inv_of_sum = _log_tables(F)
     # the rows of one P are adjacent: up holds the distinct Ps, own[r] the
-    # position of row r's P in up, and P's first row gives its M
+    # position of row r's P in up
     starts = np.diff(p, prepend=-1) != 0
     own = np.cumsum(starts) - 1
     first = np.flatnonzero(starts)
     up = p[first]
-    m = _cross(F, pts[up], pts[q[first]])
+    m = plane.coords_array()[line[first]]
     lp = tangents[up]
     ka, kb = _point_keys(F, pts)
     found = []
@@ -375,12 +386,14 @@ def _conics_contained_pencils(S: PointSet, tangents, p, q):
         per_p[np.arange(p[lo] + 1, N) <= up[u0:u1, None]] = zero
         s = per_p.take(own[lo:hi] - u0, axis=0)
         s += _line_values(F, tangents[q[lo:hi]], R, inv_of_sum)
-        lam = lookup[s] + (g + 1) * np.arange(len(s))[:, None]
-        counts = np.bincount(lam.ravel(), minlength=len(s) * (g + 1)).reshape(len(s), g + 1)
-        r, k = np.nonzero(counts[:, :g] == n - 1)
+        nrows = len(s)
+        sums = np.bincount((s + width * np.arange(nrows)[:, None]).ravel(), minlength=nrows * width)
+        sums.reshape(nrows, width)[:, zero:] = 0
+        r, k = np.nonzero(sums.reshape(nrows, 5, g).sum(axis=1) == n - 1)
         found.append((r + lo, k))
     r, k = (np.concatenate(x) for x in zip(*found))
-    rows = _pencil_member(F, m[own[r]], lp[own[r]], tangents[q[r]], F.exp_table[k])
+    lam = F.exp_table[(k + F.log_table[F.neg(1)]) % g]
+    rows = _pencil_member(F, m[own[r]], lp[own[r]], tangents[q[r]], lam)
     space5 = projective_space(F, 5)
     return [Conic(F, space5.point(int(i))) for i in np.sort(space5.index_rows(rows))]
 
@@ -411,9 +424,9 @@ def conics_contained(S: PointSet, method: str = "auto"):
     if method not in ("auto", "pencil", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     if method != "exhaustive":
-        _, tangents, p, q = _scan_lines(S)
+        _, tangents, *anchors = _scan_lines(S)
         if tangents is not None:
-            return _conics_contained_pencils(S, tangents, p, q)
+            return _conics_contained_pencils(S, tangents, *anchors)
         if method == "pencil":
             raise ValueError("some point of S has no unique tangent line")
     if S.space.field.order > 25:
@@ -629,14 +642,14 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     must: a contained conic's nucleus would collect q^2+1 tangent lines.
     The certificate is made once; each step sets the fields it establishes.
     """
-    counts, tangents, ps, qs = _scan_lines(S)
-    report = _unital_report(S, counts)
+    counts, tangents, *anchors = _scan_lines(S)
+    report = is_unital(S, counts)
     if not report.is_unital:
         raise ValueError("certificate requires a verified unital")
     F = S.space.field
     q = report.q
     # a unital has one tangent at each of its points
-    conics = _conics_contained_pencils(S, tangents, ps, qs)
+    conics = _conics_contained_pencils(S, tangents, *anchors)
     odd = F.p != 2
     cert = UnionCertificate(q, odd, False, None, conics)
     if not conics:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import analysis, gf, veronese
 from .conic import Conic, PencilKind, canonical_pencil
-from .geom import PointSet, projective_plane, projective_space, tangent_counts
+from .geom import PointSet, line_counts, projective_plane, projective_space, tangent_counts
 from .gf import GF, is_prime
 from .unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
 
@@ -314,8 +314,9 @@ def run_unital_claim(F: GF) -> dict:
         builds.append(("behs", lambda: behs_unital(F)[0]))
     for kind, build in builds:
         S = build()
-        rep = is_unital(S)
-        ts = tangent_structure(S) if rep.is_unital else None
+        sizes = line_counts(S)
+        rep = is_unital(S, sizes)
+        ts = tangent_structure(S, sizes) if rep.is_unital else None
         good = (
             rep.is_unital
             and sorted(rep.profile) == [1, q + 1]
@@ -403,10 +404,11 @@ def cmd_build_unital(args) -> int:
 def cmd_verify_unital(args) -> int:
     F = field_from_args(args)
     _, S, _ = _build_set(args, F)
-    rep = is_unital(S)
+    sizes = line_counts(S)
+    rep = is_unital(S, sizes)
     report = {"field": F.describe(), **_fields(rep)}
     if rep.is_unital:
-        report["tangent_structure"] = tangent_structure(S)
+        report["tangent_structure"] = tangent_structure(S, sizes)
     rows = [("size", "count"), *rep.profile.items()]
     _emit(args, report, csv_rows=rows)
     return 0 if rep.is_unital else 1

@@ -66,15 +66,13 @@ class UnitalReport:
     failures: list
 
 
-def is_unital(S: PointSet) -> UnitalReport:
+def is_unital(S: PointSet, sizes=None) -> UnitalReport:
     """Full line-intersection profile of a point set; a unital meets every
-    line in 1 or q+1 points and has q^3+1 points."""
-    return _unital_report(S, line_counts(S))
-
-
-def _unital_report(S: PointSet, sizes) -> UnitalReport:
-    """``is_unital`` from the number of points of S on each line, so that
-    a caller that has counted them does not count again."""
+    line in 1 or q+1 points and has q^3+1 points.  A caller that has
+    counted the points of S on each line, as ``line_counts`` does, passes
+    the counts as sizes and saves a walk over the line table."""
+    if sizes is None:
+        sizes = line_counts(S)
     q = unital_q(S.space.field)
     failures = np.flatnonzero((sizes != 1) & (sizes != q + 1)).tolist()
     ok = S.card == q**3 + 1 and not failures
@@ -90,12 +88,14 @@ class TangentReport:
     violations: list
 
 
-def tangent_structure(S: PointSet) -> TangentReport:
+def tangent_structure(S: PointSet, sizes=None) -> TangentReport:
     """Per-point tangent counts of a verified unital: 1 tangent and q^2
     secants on the unital, q+1 tangents and q^2-q secants off it.  The
-    tangent lines come from the line counts of the unital check."""
-    sizes = line_counts(S)
-    report = _unital_report(S, sizes)
+    tangent lines come from the line counts of the unital check, which a
+    caller that has them passes as sizes, as for ``is_unital``."""
+    if sizes is None:
+        sizes = line_counts(S)
+    report = is_unital(S, sizes)
     if not report.is_unital:
         raise ValueError("tangent structure is only defined for unitals")
     q = report.q

@@ -446,15 +446,16 @@ def test_pencil_search_matches_exhaustive_on_unions_of_behs_conics(chosen, M):
 
 def _anchors_by_loop(S):
     """For each rank r of a point P of S, by a loop over the secants through
-    P in line order: the ranks after r on the first secant with the fewest
-    of them, or none when P is on no secant."""
+    P in line order: (line, ranks) for the first secant with the fewest
+    ranks after r, its index and those ranks, or (None, []) when P is on
+    no secant."""
     plane = S.space
     rank = {pt: r for r, pt in enumerate(S.indices())}
-    secants = [plane.lines[li].tolist() for li in np.flatnonzero(line_counts(S) > 1)]
+    secants = [(li, plane.lines[li].tolist()) for li in np.flatnonzero(line_counts(S) > 1)]
     out = []
     for pt, r in rank.items():
-        laters = [sorted(rank[x] for x in line if rank.get(x, -1) > r) for line in secants if pt in line]
-        out.append(min(laters, key=len, default=[]))
+        laters = [(li, sorted(rank[x] for x in line if rank.get(x, -1) > r)) for li, line in secants if pt in line]
+        out.append(min(laters, key=lambda later: len(later[1]), default=(None, [])))
     return out
 
 
@@ -496,13 +497,19 @@ def _scan_sets(F):
 def test_anchor_pairs_match_oracle(p):
     nones = []
     for S in _scan_sets(field(p, 2)):
-        counts, tangents, ps, qs = _scan_lines(S)
+        counts, tangents, ps, qs, lines = _scan_lines(S)
         assert counts.tolist() == line_counts(S).tolist()
         nones.append(tangents is None)
-        ps, qs = ps.tolist(), qs.tolist()
+        ps, qs, lines = ps.tolist(), qs.tolist(), lines.tolist()
         assert ps == sorted(ps)
-        for r, anchor in enumerate(_anchors_by_loop(S)):
+        for r, (line, anchor) in enumerate(_anchors_by_loop(S)):
             assert [q for pr, q in zip(ps, qs) if pr == r] == anchor
+            assert all(li == line for pr, li in zip(ps, lines) if pr == r)
+        # each pair row's anchor line, whose dual vector is the search's M,
+        # holds both P and Q
+        points = S.indices()
+        for pr, q, li in zip(ps, qs, lines):
+            assert {points[pr], points[q]} <= set(S.space.lines[li].tolist())
         want = _tangents_by_point(S)
         assert (tangents is None) == (want is None)
         if want is not None:
@@ -512,15 +519,32 @@ def test_anchor_pairs_match_oracle(p):
     assert nones == [False, False, False, False, True, False, True, False]
 
 
+def _irreducible_conic(F, seed):
+    rng = random.Random(seed)
+    while True:
+        C = Conic(F, [rng.randrange(F.order) for _ in range(6)])
+        if C.is_irreducible:
+            return C
+
+
 def test_pencil_search_chunks_do_not_change_output(monkeypatch):
-    # one row per chunk, so that every chunk starts its R at its own P
-    F = field(5, 2)
-    U = behs_unital(F)[0]
-    sets = [U, hermitian_unital(F), transform_points(projective_plane(F), random_invertible(F, random.Random(9)), U)]
+    # one row per chunk, so that every chunk starts its R at its own P and
+    # folds its own log sums; at q = 4, where log -1 is 0, the Hermitian
+    # unital, its image and one conic stand in for the BEHS unital
+    sets = []
+    for p, h in ((5, 2), (7, 2), (2, 4)):
+        F = field(p, h)
+        move = lambda S: transform_points(projective_plane(F), random_invertible(F, random.Random(9)), S)
+        if p % 2:
+            U = behs_unital(F)[0]
+            sets += [U, hermitian_unital(F), move(U)]
+        else:
+            H = hermitian_unital(F)
+            sets += [H, move(H), _irreducible_conic(F, h).points()]
     expected = [conics_contained(S, method="pencil") for S in sets]
     monkeypatch.setattr(analysis, "_CHUNK", 1)
     assert [conics_contained(S, method="pencil") for S in sets] == expected
-    assert [len(c) for c in expected] == [5, 0, 5]
+    assert [len(c) for c in expected] == [5, 0, 5, 7, 0, 7, 0, 0, 1]
 
 
 # both characteristics, up to order 256 and at 289, where the flat-table
@@ -591,6 +615,25 @@ def test_anchor_pairs_memory_stays_below_the_line_table(monkeypatch):
         tracemalloc.stop()
     assert len(S.space.lines) > 200 * (geom._LINE_BLOCK_ENTRIES // S.space.lines.shape[1])
     assert peak < 0.25 * S.space.lines.nbytes
+
+
+def test_pencil_search_memory_is_one_chunk():
+    # the search keeps per-chunk temporaries of about _CHUNK entries and
+    # per-row arrays: with _CHUNK = 1 << 18 the BEHS unital peaks at
+    # 4.42 MB at plane order 121 and 4.29 MB at 169 (1.58 and 1.66 MB at
+    # 1 << 16), where one int64 |S| x |S| array would take 14 and 39 MB
+    for p in (11, 13):
+        F = field(p, 2)
+        S = behs_unital(F)[0]
+        _, tangents, *anchors = _scan_lines(S)
+        analysis._log_tables(F)
+        tracemalloc.start()
+        try:
+            assert len(analysis._conics_contained_pencils(S, tangents, *anchors)) == p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -743,6 +786,19 @@ def test_tangent_structure_walks_the_line_table_once(monkeypatch):
     walks = _count_walks(monkeypatch)
     assert all(tangent_structure(S).ok for S in sets)
     assert len(walks) == len(sets)
+
+
+def test_unital_reports_walk_the_line_table_once_per_set(monkeypatch, capsys):
+    # verify-unital and the unital claim give the unital check and the
+    # tangent structure one count of the lines; at q = 5 each builds the
+    # BEHS and the Hermitian unital
+    walks = _count_walks(monkeypatch)
+    assert cli.run_unital_claim(field(5, 2))["ok"]
+    assert len(walks) == 2
+    for kind in ("behs", "hermitian"):
+        assert cli.main(["verify-unital", "--q", "5", "--kind", kind]) == 0
+        assert '"tangent_structure"' in capsys.readouterr().out
+    assert len(walks) == 4
 
 
 def test_certify_requires_unital():
