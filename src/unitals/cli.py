@@ -15,6 +15,9 @@ process.
 The parser is built once per process; ``main`` runs subcommand NAME as the
 module's function ``cmd_NAME`` (dashes read as underscores), looked up when
 it is called, so a function replaced on the module is the one that runs.
+The paper's claims live in one table, ``_claims``, whose runners are looked
+up when it is built: ``report-all`` runs every entry in order, and ``check
+--claim NAME`` runs one, its choices read off the table.
 
 Exit status: 0 when every checked claim is verified, 1 when a claim is
 violated, 2 on any ``ValueError`` or ``OSError`` (bad input, or a claim
@@ -60,13 +63,11 @@ def _conic_arg(F: GF, text: str, option: str) -> Conic:
 
 
 def field_from_args(args) -> GF:
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = tuple(int(c) for c in args.modulus.split(","))
-    if getattr(args, "q", None) is not None:
+    modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
+    if args.q is not None:
         p, e = _prime_power(args.q)
         return gf.field(p, 2 * e, modulus)
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         if args.h is None:
             raise ValueError("--p needs --h")
         return gf.field(args.p, args.h, modulus)
@@ -461,19 +462,30 @@ def cmd_cone_residual(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _claims(F: GF | None, samples: int, seed: int, afkl_samples: int) -> list:
+    """Every claim once, in report-all's order, as (head, run): run() makes
+    the claim's report, and head names it in a skip.  check runs the heads
+    without a case; the cone cases have cone-residual of their own."""
+    return [
+        ({"claim": "unital"}, partial(run_unital_claim, F)),
+        ({"claim": "theorem3"}, partial(run_theorem3, F, samples, seed)),
+        ({"claim": "lemma1"}, partial(run_lemma1, F)),
+        ({"claim": "lemma2"}, partial(run_lemma2, F)),
+        ({"claim": "afkl"}, partial(run_afkl, F, afkl_samples, seed)),
+        *(
+            ({"claim": "cone-residual", "case": case}, partial(run_cone_residual_case, F, case, None, False))
+            for case in (1, 2, 3)
+        ),
+        ({"claim": "main"}, partial(run_main_claim, F)),
+        ({"claim": "nucleus"}, run_nucleus),
+    ]
+
+
 def cmd_check(args) -> int:
     claim = args.claim
-    if claim == "nucleus":
-        report = run_nucleus()
-    else:
-        F = field_from_args(args)
-        report = {
-            "theorem3": lambda: run_theorem3(F, args.samples, args.seed),
-            "lemma1": lambda: run_lemma1(F),
-            "lemma2": lambda: run_lemma2(F),
-            "afkl": lambda: run_afkl(F, args.samples, args.seed),
-            "main": lambda: run_main_claim(F),
-        }[claim]()
+    # the nucleus claim runs over the even orders 2 and 4 whatever field is given
+    F = None if claim == "nucleus" else field_from_args(args)
+    report = next(run for h, run in _claims(F, args.samples, args.seed, args.samples) if h == {"claim": claim})()
     rows = None
     if claim in ("lemma1", "lemma2"):
         rows = [("witness",)] + [(" ".join(str(x) for x in w),) for w in report["witnesses"]]
@@ -484,21 +496,9 @@ def cmd_check(args) -> int:
 def cmd_report_all(args) -> int:
     F = field_from_args(args)
     q = unital_q(F)
-    runs = [
-        ({"claim": "unital"}, partial(run_unital_claim, F)),
-        ({"claim": "theorem3"}, partial(run_theorem3, F, args.samples, args.seed)),
-        ({"claim": "lemma1"}, partial(run_lemma1, F)),
-        ({"claim": "lemma2"}, partial(run_lemma2, F)),
-        ({"claim": "afkl"}, partial(run_afkl, F, 0, args.seed)),
-        *(
-            ({"claim": "cone-residual", "case": case}, partial(run_cone_residual_case, F, case, None, False))
-            for case in (1, 2, 3)
-        ),
-        ({"claim": "main"}, partial(run_main_claim, F)),
-        ({"claim": "nucleus"}, run_nucleus),
-    ]
     claims = []
-    for head, run in runs:
+    # AFKL over its canonical families alone: report-all draws no AFKL samples
+    for head, run in _claims(F, args.samples, args.seed, 0):
         try:
             claims.append(run())
         except analysis.NotStated as exc:
@@ -528,18 +528,6 @@ def cmd_report_all(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_field_opts(sp):
-    sp.add_argument("--q", type=int, help="unital parameter q; the plane has order q^2")
-    sp.add_argument("--p", type=int, help="characteristic of the plane field")
-    sp.add_argument("--h", type=int, help="exponent: plane order p^h")
-    sp.add_argument("--modulus", help="comma-separated modulus coefficients, ascending")
-
-
-def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored: every check runs in one process")
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -548,47 +536,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("field", help="print the field description and tables")
-    _add_field_opts(sp)
-    _add_common(sp)
+    # the options every subcommand takes, and those of the two that seed a sample
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--q", type=int, help="unital parameter q; the plane has order q^2")
+    common.add_argument("--p", type=int, help="characteristic of the plane field")
+    common.add_argument("--h", type=int, help="exponent: plane order p^h")
+    common.add_argument("--modulus", help="comma-separated modulus coefficients, ascending")
+    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    common.add_argument("--workers", type=int, default=1, help="accepted and ignored: every check runs in one process")
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--samples", type=int, default=100, help="random conics (theorem3), conic pairs (afkl)")
+    sampled.add_argument("--seed", type=int, default=0)
+
+    sub.add_parser("field", parents=[common], help="print the field description and tables")
 
     for name in ("build-unital", "verify-unital", "enum-conics"):
-        sp = sub.add_parser(name)
-        _add_field_opts(sp)
-        _add_common(sp)
+        sp = sub.add_parser(name, parents=[common])
         sp.add_argument("--kind", choices=("hermitian", "behs"), default="behs")
         sp.add_argument("--t", type=int, help="non-square parameter for the conic-union construction")
         sp.add_argument("--points", help="JSON file of point indices ('-' for stdin) instead of --kind")
         if name == "enum-conics":
             sp.add_argument("--method", choices=("auto", "pencil", "exhaustive"), default="auto")
 
-    sp = sub.add_parser("classify-pair", help="pencil classification of a pair of conics")
-    _add_field_opts(sp)
-    _add_common(sp)
+    sp = sub.add_parser("classify-pair", parents=[common], help="pencil classification of a pair of conics")
     sp.add_argument("--case", type=int, choices=(1, 2, 3))
     sp.add_argument("--k", type=int)
     sp.add_argument("--k2", type=int)
     sp.add_argument("--conic", help="six comma-separated coefficient indices")
     sp.add_argument("--conic2", help="six comma-separated coefficient indices")
 
-    sp = sub.add_parser("cone-residual", help="cone-intersection oracle vs the closed forms")
-    _add_field_opts(sp)
-    _add_common(sp)
+    sp = sub.add_parser("cone-residual", parents=[common], help="cone-intersection oracle vs the closed forms")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), required=True)
     sp.add_argument("--k", type=int, help="pencil parameter; all admissible k when omitted")
 
-    sp = sub.add_parser("check", help="verify one claim")
-    sp.add_argument("--claim", required=True, choices=("theorem3", "afkl", "lemma1", "lemma2", "main", "nucleus"))
-    _add_field_opts(sp)
-    _add_common(sp)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = sub.add_parser("check", parents=[common, sampled], help="verify one claim")
+    names = [head["claim"] for head, _ in _claims(None, 0, 0, 0) if "case" not in head]
+    sp.add_argument("--claim", required=True, choices=names)
 
-    sp = sub.add_parser("report-all", help="run every claim and aggregate the statuses")
-    _add_field_opts(sp)
-    _add_common(sp)
-    sp.add_argument("--samples", type=int, default=100, help="random conics for the classifier check")
-    sp.add_argument("--seed", type=int, default=0)
+    sub.add_parser("report-all", parents=[common, sampled], help="run every claim and aggregate the statuses")
 
     return ap
 

@@ -16,11 +16,12 @@ there is the n+1 points ``span`` gives for a point pair, indexed with
 
 Nothing is kept per point: a space holds its coordinate array
 (``coords_array``) and, for PG(2,n), its line table, and ``point`` decodes
-one index at a time.  Everything here is immutable after construction;
-the line table and the membership arrays are read-only.
+one index at a time.  Both are built on first read, and a line table
+above ``_LINE_TABLE_BYTES`` is refused with ``ValueError`` before it is
+allocated; the line table and the membership arrays are read-only.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .gf import GF
 # mask; with the four it used to keep, 1 << 20 outgrew the cache and the
 # scan ran 35% slower at plane order 625 (2-vCPU host)
 _LINE_BLOCK_ENTRIES = 1 << 18
+# the largest line table a plane builds: PG(2,1024), 4.30 GB, is built and
+# PG(2,1369), 10.3 GB, refused
+_LINE_TABLE_BYTES = 8 << 30
 
 
 class ProjectiveSpace:
@@ -52,8 +56,6 @@ class ProjectiveSpace:
         weights = m ** np.arange(dim, -1, -1, dtype=np.int64)
         self._lead_shift = np.array(self._offsets, dtype=np.int64) - weights
         self._coords_array = None
-        if dim == 2:
-            self.lines = self._build_lines()
 
     def __repr__(self):
         return f"PG({self.dim},{self.field.order})"
@@ -132,6 +134,10 @@ class ProjectiveSpace:
 
     # -- lines -----------------------------------------------------------------
 
+    # a plane whose lines nobody reads, as a pair of conics classified in odd
+    # characteristic, never builds them
+    lines = cached_property(lambda self: self._build_lines())
+
     def _build_lines(self):
         """(npoints, n+1) int32 array: row li holds the sorted indices of the
         points of the line L.x = 0 whose dual vector L is the point with
@@ -146,6 +152,9 @@ class ProjectiveSpace:
         temporaries stay at two bytes per entry of one block."""
         F = self.field
         m = F.order
+        nbytes = self.npoints * (m + 1) * 4
+        if nbytes > _LINE_TABLE_BYTES:
+            raise ValueError(f"the line table of {self} would take {nbytes} bytes, more than {_LINE_TABLE_BYTES}")
         out = np.empty((self.npoints, m + 1), dtype=np.int32)
         lam = np.arange(m)
         block = max(1, _LINE_BLOCK_ENTRIES // (m + 1))

@@ -606,6 +606,7 @@ def test_anchor_pairs_memory_stays_below_the_line_table(monkeypatch):
     # passes peaked at 0.28x, and one table-sized boolean copy alone would
     # reach the bound
     S = behs_unital(field(11, 2))[0]
+    S.space.lines  # built on first read: build it before the traced scan
     monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1 << 13)
     tracemalloc.start()
     try:

@@ -387,6 +387,16 @@ _CONICS = (
     ["1,0,0,0,0,0", "0,0,1,2,0,0", "0,0,1,1,0,0", "1,1,1,0,0,0", "0,0,0,1,1,1", "2,0,1,0,0,1"],
     ["1,2,3,4,5,99", "1,-1,0,0,0,0", "0,0,0,0,0,0", "1,2", "1,2,3,4,5,6,7", "a,b,c,d,e,f"],
 )
+
+
+def _subcommands():
+    """Subcommand name -> its parser."""
+    return next(a for a in cli.build_parser()._actions if isinstance(a.choices, dict)).choices
+
+
+# the claims check runs, as its parser offers them
+(_check,) = [a for a in _subcommands()["check"]._actions if a.dest == "claim"]
+
 # --points names a file of the points_files fixture
 _VALUES = {
     "--format": (["json", "csv", "text"], ["yaml"]),
@@ -401,7 +411,7 @@ _VALUES = {
     "--k2": _ELEMENTS,
     "--conic": _CONICS,
     "--conic2": _CONICS,
-    "--claim": (["theorem3", "afkl", "lemma1", "lemma2", "main", "nucleus"], ["bogus"]),
+    "--claim": (_check.choices, ["bogus"]),
     "--samples": (["0", "3", "20"], ["-5"]),
 }
 
@@ -409,11 +419,10 @@ _VALUES = {
 def _command_options():
     """Subcommand name -> [(option string, required)] for its options besides
     the field options, read off the parser."""
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a.choices, dict))
     skip = {"-h", "--help", "--q", "--p", "--h", "--modulus"}
     return {
         name: [(a.option_strings[0], a.required) for a in sp._actions if a.option_strings[0] not in skip]
-        for name, sp in sub.choices.items()
+        for name, sp in _subcommands().items()
     }
 
 
@@ -516,6 +525,40 @@ def test_refusal_inside_a_claim_is_not_a_skip(capsys, monkeypatch):
     assert main(["report-all", "--q", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: matrix form needs odd characteristic\n"
+
+
+def test_check_and_report_all_run_the_same_claims(capsys):
+    # every claim check offers is report-all's entry of that name, byte for
+    # byte, and the one report-all skips is a usage error for check
+    code, out = run_cli(capsys, "report-all", "--q", "3", "--seed", "7")
+    assert code == 0
+    entries = {c["claim"]: c for c in json.loads(out)["claims"] if "case" not in c}
+    assert sorted(entries) == sorted(_check.choices)
+    for claim, entry in entries.items():
+        code, out = run_cli(capsys, "check", "--claim", claim, "--q", "3", "--seed", "7")
+        if entry["ok"] is None:
+            assert code == 2 and out == ""
+        else:
+            assert code == 0 and out == json.dumps(entry, indent=2) + "\n"
+    assert [c for c, e in entries.items() if e["ok"] is None] == ["afkl"]
+
+
+def test_line_table_past_the_limit_is_a_usage_error():
+    # PG(2,1369) would need a 10.3 GB line table: check --claim main --q 37
+    # exits 2 before allocating it.  The child's address space is capped,
+    # so a table that went ahead would fail there instead of on the host
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from unitals.cli import main\n"
+        "sys.exit(main(['check', '--claim', 'main', '--q', '37']))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: the line table of PG(2,1369) would take 10277909880 bytes")
+    assert out.stderr.count("\n") == 1
 
 
 def test_report_all_deterministic(capsys):

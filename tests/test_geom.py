@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitals import geom
+from unitals import analysis, geom
 from unitals.gf import field
 from unitals.geom import (
     PointSet,
@@ -305,12 +305,53 @@ def test_line_table_build_peaks_near_the_table_size():
     tracemalloc.start()
     try:
         plane = ProjectiveSpace(F, 2)
+        plane.lines
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert plane.lines.nbytes == 14763 * 122 * 4
     assert peak <= 2 * plane.lines.nbytes
     assert kept <= 1.02 * (plane.lines.nbytes + plane.coords_array().nbytes)
+
+
+def test_line_table_is_built_on_first_read(monkeypatch):
+    # classify_pair and Conic.points read coordinates alone in odd
+    # characteristic, so they build no table; line_counts builds it once.
+    # Planes are memoised, so this takes an order no other test builds
+    built = []
+    build = ProjectiveSpace._build_lines
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ProjectiveSpace, "_build_lines", counted)
+    F = field(19)
+    C, D = analysis.canonical_case_pair(F, 1, analysis.admissible_ks(F, 1)[0])
+    analysis.classify_pair(C, D)
+    assert C.points().card == 20 and built == []
+    line_counts(C.points())
+    line_counts(D.points())
+    assert built == [C.plane]
+
+
+def test_oversized_line_table_is_refused_before_it_is_allocated(monkeypatch):
+    # PG(2,25) has a 651 x 26 int32 table of 67,704 bytes: it is built at
+    # that limit, and refused one byte below it with the plane and the size
+    # named, having allocated a small part of it
+    F = field(5, 2)
+    monkeypatch.setattr(geom, "_LINE_TABLE_BYTES", 67704)
+    assert ProjectiveSpace(F, 2).lines.nbytes == 67704
+    monkeypatch.setattr(geom, "_LINE_TABLE_BYTES", 67703)
+    plane = ProjectiveSpace(F, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"line table of PG\(2,25\) would take 67704 bytes"):
+            plane.lines
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 67704
 
 
 # PG(5,n) at orders 2 to 25, and the planes on either side of the move of
