@@ -37,11 +37,13 @@ the block's entries in S.  They come line by line, and within a line in
 rank order, so an entry's line is its position // (n+1), the lines'
 counts of S are one bincount of those lines, and the points of S after
 an entry on its line are the cumulative count up to its line's end less
-the entries up to it.  So the pass gives each line's count of S, which
-the unital check of ``certify_union_of_conics`` reads too, the tangent
-lines at each point of S (the search needs exactly one) and, per point,
-a running minimum of later*npoints + line over its secants, which names
-its anchor and gives each pair the index of its line.
+the entries up to it.  So the pass gives the tangent lines at each point
+of S (the search needs exactly one) and, per point, a running minimum of
+later*npoints + line over its secants, which names its anchor and gives
+each pair the index of its line.  The unital check of
+``certify_union_of_conics`` counts S on the lines with ``geom.line_counts``
+instead, from the rows of S's points alone: |S|(n+1) entries against
+the pass's whole table.
 
 The pairs of one P all span its anchor secant, so M is one line for all of
 them, and only L_Q changes from pair to pair.  The search takes M as the
@@ -273,11 +275,9 @@ def _conics_contained_exhaustive(S: PointSet):
 
 
 def _scan_lines(S: PointSet):
-    """(counts, tangents, p, q, line) from one blocked pass over the line
-    table, each block read at the flat positions of its entries in S (see
-    the module docstring).  counts[li] is the number of points of S on
-    line li, as ``line_counts`` gives it; ``certify_union_of_conics``
-    checks the unital on them.  tangents is the (|S|, 3) array whose row i
+    """(tangents, p, q, line) from one blocked pass over the line table,
+    each block read at the flat positions of its entries in S (see the
+    module docstring).  tangents is the (|S|, 3) array whose row i
     is the dual vector of the one tangent line through the i-th point of
     S, or None when some point has none or several.  (p, q) are the
     position pairs of the pencil search, sorted: for each point P of S on
@@ -287,7 +287,6 @@ def _scan_lines(S: PointSet):
     npoints, width = lines.shape
     N = S.card
     rank = np.where(S.member, np.cumsum(S.member, dtype=np.int32) - 1, -1)
-    counts = np.empty(npoints, dtype=lines.dtype)
     tangent = np.zeros(N, dtype=np.int64)
     ntangents = np.zeros(N, dtype=np.int64)
     # the smallest later*npoints + line for each P names its anchor secant
@@ -299,7 +298,6 @@ def _scan_lines(S: PointSet):
         li = pos // width
         r = on[pos]
         count = np.bincount(li, minlength=len(on) // width)
-        counts[lo : lo + len(count)] = count
         # a tangent's one entry is the only one of its line
         touch = count[li] == 1
         touched = r[touch]
@@ -317,7 +315,7 @@ def _scan_lines(S: PointSet):
     line = best[ps] % npoints
     anchor = rank[lines[line]]
     p, c = np.nonzero(anchor > ps[:, None])
-    return counts, tangents, ps[p], anchor[p, c], line[p]
+    return tangents, ps[p], anchor[p, c], line[p]
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +422,7 @@ def conics_contained(S: PointSet, method: str = "auto"):
     if method not in ("auto", "pencil", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     if method != "exhaustive":
-        _, tangents, *anchors = _scan_lines(S)
+        tangents, *anchors = _scan_lines(S)
         if tangents is not None:
             return _conics_contained_pencils(S, tangents, *anchors)
         if method == "pencil":
@@ -530,12 +528,11 @@ def random_invertible(F: GF, rng: random.Random):
 
 def _hypothesis_matrix(conics):
     """Boolean (k, k) array whose entry [i, j] is
-    ``no_external_points(conics[i], conics[j].points())``: one exact integer
-    product of the external-point masks and the point masks counts, for
-    each pair, the points of conic j external to conic i."""
-    ext = np.array([C.classify_array() == 1 for C in conics], dtype=np.int32)
-    on = np.array([C.points().member for C in conics], dtype=np.int32)
-    return ext @ on.T == 0
+    ``no_external_points(conics[i], conics[j].points())``.  Every conic is
+    irreducible, with n+1 points, so their point indices form one
+    (k, n+1) array, and row i reads conic i's external points there."""
+    pts = np.array([C.points().indices() for C in conics])
+    return np.array([~(C.classify_array() == 1)[pts].any(axis=1) for C in conics])
 
 
 def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
@@ -617,17 +614,16 @@ class UnionCertificate:
     notes: list | None = None
 
 
-def _pencil_parameter(F: GF, base, tangent_sq, Ci: Conic):
-    """Parameter a with Ci ~ base + a * tangent_sq, or None when Ci is not
-    in that pencil.  ``span(F, base, tangent_sq)`` lists tangent_sq, then
-    base + a * tangent_sq for a = 0, 1, ..., n-1, so a is Ci's position in
-    that list less one; tangent_sq itself has no parameter."""
+def _pencil_parameters(F: GF, base, tangent_sq, conics):
+    """For each conic C, the parameter a with C ~ base + a * tangent_sq, or
+    None when C is not in that pencil.  ``span(F, base, tangent_sq)``
+    lists tangent_sq, then base + a * tangent_sq for a = 0, 1, ..., n-1,
+    so a is C's position in that list less one; tangent_sq itself has no
+    parameter.  The span is indexed once for all the conics."""
     space5 = projective_space(F, 5)
-    members = space5.index_rows(span(F, base, tangent_sq))
-    hits = np.flatnonzero(members == space5.index(Ci.coeffs))
-    if len(hits) == 0 or hits[0] == 0:
-        return None
-    return int(hits[0]) - 1
+    members = space5.index_rows(span(F, base, tangent_sq)).tolist()
+    parameter = {m: a for a, m in enumerate(members[1:])}
+    return [parameter.get(space5.index(C.coeffs)) for C in conics]
 
 
 def certify_union_of_conics(S: PointSet) -> UnionCertificate:
@@ -642,14 +638,13 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     must: a contained conic's nucleus would collect q^2+1 tangent lines.
     The certificate is made once; each step sets the fields it establishes.
     """
-    counts, tangents, *anchors = _scan_lines(S)
-    report = is_unital(S, counts)
+    report = is_unital(S)
     if not report.is_unital:
         raise ValueError("certificate requires a verified unital")
     F = S.space.field
     q = report.q
     # a unital has one tangent at each of its points
-    conics = _conics_contained_pencils(S, tangents, *anchors)
+    conics = _conics_contained_pencils(S, *_scan_lines(S))
     odd = F.p != 2
     cert = UnionCertificate(q, odd, False, None, conics)
     if not conics:
@@ -679,8 +674,7 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
         cert.notes = ["contained conics do not share the tangent at the base point"]
         return cert
     cert.tangent = tangent
-    tangent_sq = veronese_point(F, *tangent)
-    params = [_pencil_parameter(F, conics[0].coeffs, tangent_sq, C) for C in conics]
+    params = _pencil_parameters(F, conics[0].coeffs, veronese_point(F, *tangent), conics)
     if None in params:
         cert.notes = ["contained conics do not lie in one pencil"]
         return cert

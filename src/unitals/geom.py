@@ -6,11 +6,13 @@ vectors in lexicographic order; lines of PG(2,n) are enumerated by the same
 scheme through their dual vectors.  The incidence of PG(2,n) is one
 (npoints, n+1) int32 array, ``ProjectiveSpace.lines``, whose row li lists
 the points of line li in increasing order.  A point set is a boolean
-membership array (``PointSet``).  ``line_blocks`` is the one blocked
-reader of the line table, a block of rows at a time; ``line_counts`` and
-the pencil search's scan in ``analysis`` walk it.  The only other reads
-take chosen rows: the tangent lines in ``lines_through`` and the anchor
-secants in ``analysis._scan_lines``.  PG(5,n) has no line objects: a line
+membership array (``PointSet``).  The table is symmetric, row i listing
+the lines through point i as well as the points on line i, so every
+incidence count, ``lines_through`` and the ``line_counts`` and
+``tangent_counts`` built on it, reads only the rows of the points or lines
+it counts.  ``line_blocks`` walks the whole table a block of rows at a
+time for the one reader that needs each line's points in order, the
+pencil search's scan in ``analysis``.  PG(5,n) has no line objects: a line
 there is the n+1 points ``span`` gives for a point pair, indexed with
 ``index_rows``.
 
@@ -29,10 +31,10 @@ from .gf import GF
 
 
 # line-table entries per block of rows, written by _build_lines or read
-# through line_blocks: PG(2,49) is one block.  The scan of the pencil
-# search keeps two temporaries per entry, the gathered ranks and their
-# mask; with the four it used to keep, 1 << 20 outgrew the cache and the
-# scan ran 35% slower at plane order 625 (2-vCPU host)
+# by line_blocks and lines_through: PG(2,49) is one block.  The scan of
+# the pencil search keeps two temporaries per entry, the gathered ranks
+# and their mask; with the four it used to keep, 1 << 20 outgrew the
+# cache and the scan ran 35% slower at plane order 625 (2-vCPU host)
 _LINE_BLOCK_ENTRIES = 1 << 18
 # the largest line table a plane builds: PG(2,1024), 4.30 GB, is built and
 # PG(2,1369), 10.3 GB, refused
@@ -339,27 +341,26 @@ def line_blocks(plane: ProjectiveSpace, values):
         yield lo, values.take(lines[lo : lo + block])
 
 
-def line_counts(S: PointSet):
-    """Number of points of S on each line of PG(2,n), indexed by line."""
-    out = np.empty(S.space.npoints, dtype=np.intp)
-    for lo, on in line_blocks(S.space, S.member):
-        out[lo : lo + len(on)] = np.count_nonzero(on, axis=1)
+def lines_through(plane: ProjectiveSpace, chosen):
+    """Number of the chosen lines of PG(2,n), an array of line indices,
+    through each point, indexed by point.  The table is symmetric: row i
+    lists the points on line i and equally the lines through point i, so
+    with chosen points it gives the number of them on each line.  Only the
+    chosen rows are read, about _LINE_BLOCK_ENTRIES entries at a time."""
+    lines = plane.lines
+    out = np.zeros(plane.npoints, dtype=np.intp)
+    block = max(1, _LINE_BLOCK_ENTRIES // lines.shape[1])
+    for lo in range(0, len(chosen), block):
+        np.add.at(out, lines[chosen[lo : lo + block]], 1)
     return out
 
 
-def tangent_lines(S: PointSet):
-    """Indices of the lines of PG(2,n) meeting the point set S in exactly
-    one point, in increasing order."""
-    return np.flatnonzero(line_counts(S) == 1)
-
-
-def lines_through(plane: ProjectiveSpace, chosen):
-    """Number of the chosen lines of PG(2,n), an array of line indices,
-    through each point, indexed by point."""
-    return np.bincount(plane.lines[chosen].ravel(), minlength=plane.npoints)
+def line_counts(S: PointSet):
+    """Number of points of S on each line of PG(2,n), indexed by line."""
+    return lines_through(S.space, np.flatnonzero(S.member))
 
 
 def tangent_counts(S: PointSet):
     """Number of tangent lines of S (lines meeting it in one point) through
     each point of PG(2,n), indexed by point."""
-    return lines_through(S.space, tangent_lines(S))
+    return lines_through(S.space, np.flatnonzero(line_counts(S) == 1))

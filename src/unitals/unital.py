@@ -3,7 +3,10 @@ every unital must satisfy.
 
 A unital is a set of q^3+1 points meeting every line in 1 or q+1 points.
 The verifier reports the full line-intersection profile rather than a bare
-boolean; the profile doubles as the two-intersection-set witness.
+boolean; the profile doubles as the two-intersection-set witness.  The
+line counts read the line-table rows of the set's own points, and the
+tangent structure those of its tangent lines too, so each check makes
+its own counts.
 """
 
 from collections import Counter
@@ -15,7 +18,7 @@ from operator import or_
 import numpy as np
 
 from .conic import PencilKind, canonical_pencil
-from .geom import PointSet, line_counts, lines_through, projective_plane
+from .geom import PointSet, line_counts, projective_plane, tangent_counts
 from .gf import GF
 
 
@@ -66,13 +69,10 @@ class UnitalReport:
     failures: list
 
 
-def is_unital(S: PointSet, sizes=None) -> UnitalReport:
+def is_unital(S: PointSet) -> UnitalReport:
     """Full line-intersection profile of a point set; a unital meets every
-    line in 1 or q+1 points and has q^3+1 points.  A caller that has
-    counted the points of S on each line, as ``line_counts`` does, passes
-    the counts as sizes and saves a walk over the line table."""
-    if sizes is None:
-        sizes = line_counts(S)
+    line in 1 or q+1 points and has q^3+1 points."""
+    sizes = line_counts(S)
     q = unital_q(S.space.field)
     failures = np.flatnonzero((sizes != 1) & (sizes != q + 1)).tolist()
     ok = S.card == q**3 + 1 and not failures
@@ -88,18 +88,14 @@ class TangentReport:
     violations: list
 
 
-def tangent_structure(S: PointSet, sizes=None) -> TangentReport:
+def tangent_structure(S: PointSet) -> TangentReport:
     """Per-point tangent counts of a verified unital: 1 tangent and q^2
-    secants on the unital, q+1 tangents and q^2-q secants off it.  The
-    tangent lines come from the line counts of the unital check, which a
-    caller that has them passes as sizes, as for ``is_unital``."""
-    if sizes is None:
-        sizes = line_counts(S)
-    report = is_unital(S, sizes)
+    secants on the unital, q+1 tangents and q^2-q secants off it."""
+    report = is_unital(S)
     if not report.is_unital:
         raise ValueError("tangent structure is only defined for unitals")
     q = report.q
-    per_point = lines_through(S.space, np.flatnonzero(sizes == 1))
+    per_point = tangent_counts(S)
     on = S.member
     on_profile = _profile(per_point[on])
     off_profile = _profile(per_point[~on])

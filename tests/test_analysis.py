@@ -337,7 +337,7 @@ def test_bitangent_pencil_identity_against_null_space():
     sets = [U, hermitian_unital(F), canonical_pencil(F, PencilKind.ELLIPTIC, 1).points()]
     pairs = 0
     for S in sets:
-        tangents = dict(zip(S.indices(), map(tuple, _scan_lines(S)[1].tolist())))
+        tangents = dict(zip(S.indices(), map(tuple, _scan_lines(S)[0].tolist())))
         for pi, qi in combinations(S.indices(), 2):
             P, Q = plane.point(pi), plane.point(qi)
             rows = [mon[pi].tolist(), mon[qi].tolist()]
@@ -437,7 +437,7 @@ def test_pencil_search_matches_exhaustive_on_unions_of_behs_conics(chosen, M):
     # collineation; the pencil search needs a unique tangent at every point
     union = reduce(or_, (_BEHS_CONICS_Q3[i].points() for i in chosen))
     S = transform_points(projective_plane(_F9), M, union)
-    if _scan_lines(S)[1] is None:
+    if _scan_lines(S)[0] is None:
         with pytest.raises(ValueError):
             conics_contained(S, method="pencil")
     else:
@@ -497,8 +497,7 @@ def _scan_sets(F):
 def test_anchor_pairs_match_oracle(p):
     nones = []
     for S in _scan_sets(field(p, 2)):
-        counts, tangents, ps, qs, lines = _scan_lines(S)
-        assert counts.tolist() == line_counts(S).tolist()
+        tangents, ps, qs, lines = _scan_lines(S)
         nones.append(tangents is None)
         ps, qs, lines = ps.tolist(), qs.tolist(), lines.tolist()
         assert ps == sorted(ps)
@@ -580,16 +579,14 @@ def test_line_values_match_scalar_sums(F, data):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
-    # one line per block, so that the running minimum, the tangent counts
-    # and the line counts meet every line in a block of its own; in either
-    # blocking the scan's counts are line_counts'
+    # one line per block, so that the running minimum and the tangent
+    # counts meet every line in a block of its own
     sets = _scan_sets(field(p, 2))
 
     def scans():
         out = []
         for S in sets:
             scan = [None if a is None else a.tolist() for a in _scan_lines(S)]
-            assert scan[0] == line_counts(S).tolist()
             out.append(scan + [is_unital(S)])
         return out
 
@@ -600,11 +597,10 @@ def test_anchor_pairs_blocks_do_not_change_them(monkeypatch, p):
 
 def test_anchor_pairs_memory_stays_below_the_line_table(monkeypatch):
     # the scan reads the line table in blocks of rows, each at the flat
-    # positions of its entries in S, and keeps per-point arrays, the line
-    # counts, the anchor rows and the pairs: at plane order 121, with the
-    # 7 MB table in 220 blocks, the peak is 0.217x the table.  Older
-    # passes peaked at 0.28x, and one table-sized boolean copy alone would
-    # reach the bound
+    # positions of its entries in S, and keeps per-point arrays, the anchor
+    # rows and the pairs: at plane order 121, with the 7 MB table in 220
+    # blocks, the peak is 0.210x the table.  Older passes peaked at 0.28x,
+    # and one table-sized boolean copy alone would reach the bound
     S = behs_unital(field(11, 2))[0]
     S.space.lines  # built on first read: build it before the traced scan
     monkeypatch.setattr(geom, "_LINE_BLOCK_ENTRIES", 1 << 13)
@@ -626,7 +622,7 @@ def test_pencil_search_memory_is_one_chunk():
     for p in (11, 13):
         F = field(p, 2)
         S = behs_unital(F)[0]
-        _, tangents, *anchors = _scan_lines(S)
+        tangents, *anchors = _scan_lines(S)
         analysis._log_tables(F)
         tracemalloc.start()
         try:
@@ -658,7 +654,7 @@ def test_pencil_search_gathers_once_per_point(monkeypatch, p):
     for S in (U, hermitian_unital(F), image):
         entries = 0
         conics_contained(S, method="pencil")
-        ps = _scan_lines(S)[2]
+        ps = _scan_lines(S)[1]
         assert 0 < entries <= (len(ps) + 2 * len(np.unique(ps))) * S.card
 
 
@@ -670,7 +666,7 @@ def test_anchor_pairs_complexity_guard(q, behs, herm):
     F = field(p, 2 * e)
     sets = [(hermitian_unital(F), herm)] + ([(behs_unital(F)[0], behs)] if q % 2 else [])
     for S, count in sets:
-        assert len(_scan_lines(S)[2]) == count <= q * S.card
+        assert len(_scan_lines(S)[1]) == count <= q * S.card
 
 
 def test_verify_afkl_guard():
@@ -771,7 +767,8 @@ def _count_walks(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_certify_walks_the_line_table_once_per_unital(monkeypatch, p):
-    # the scan's line counts serve the unital check too
+    # the pencil search's scan is the one walk; the unital check reads the
+    # rows of the unital's points alone
     F = field(p, 2)
     sets = [behs_unital(F)[0], hermitian_unital(F)]
     walks = _count_walks(monkeypatch)
@@ -780,26 +777,27 @@ def test_certify_walks_the_line_table_once_per_unital(monkeypatch, p):
     assert len(walks) == len(sets)
 
 
-def test_tangent_structure_walks_the_line_table_once(monkeypatch):
-    # the tangent lines come from the counts of the unital check
+def test_tangent_structure_never_walks_the_line_table(monkeypatch):
+    # the line counts read the rows of the unital's points, the tangent
+    # counts those of its tangent lines
     F = field(5, 2)
     sets = [behs_unital(F)[0], hermitian_unital(F)]
     walks = _count_walks(monkeypatch)
     assert all(tangent_structure(S).ok for S in sets)
-    assert len(walks) == len(sets)
+    assert walks == []
 
 
-def test_unital_reports_walk_the_line_table_once_per_set(monkeypatch, capsys):
-    # verify-unital and the unital claim give the unital check and the
-    # tangent structure one count of the lines; at q = 5 each builds the
-    # BEHS and the Hermitian unital
+def test_unital_reports_never_walk_the_line_table(monkeypatch, capsys):
+    # verify-unital, the unital claim and theorem3 count lines from chosen
+    # rows alone; at q = 5 the unital reports build the BEHS and the
+    # Hermitian unital
     walks = _count_walks(monkeypatch)
     assert cli.run_unital_claim(field(5, 2))["ok"]
-    assert len(walks) == 2
     for kind in ("behs", "hermitian"):
         assert cli.main(["verify-unital", "--q", "5", "--kind", kind]) == 0
         assert '"tangent_structure"' in capsys.readouterr().out
-    assert len(walks) == 4
+    assert cli.run_theorem3(field(5, 2), 20, 0)["ok"]
+    assert walks == []
 
 
 def test_certify_requires_unital():
@@ -850,7 +848,7 @@ def test_pencil_parameter_matches_null_space(spec):
         else:
             Ci = Conic(F, space5.point(rng.randrange(space5.npoints)))
         want = _pencil_parameter_by_null_space(F, base, tangent_sq, Ci)
-        assert analysis._pencil_parameter(F, base, tangent_sq, Ci) == want
+        assert analysis._pencil_parameters(F, base, tangent_sq, [Ci]) == [want]
         if trial % 2:
             assert want == (None if trial % 10 == 1 else a)
     assert members == 32 and squares == 8
@@ -889,9 +887,9 @@ def test_certificate_return_paths_are_byte_identical(monkeypatch, path):
         bent = lambda C, P: (1, 0, 0) if C == conics[1] else tangent_at(C, P)
         monkeypatch.setattr(Conic, "tangent_at", bent)
     elif path == "one_pencil":
-        parameter = analysis._pencil_parameter
-        bent = lambda F, base, sq, C: None if C == conics[1] else parameter(F, base, sq, C)
-        monkeypatch.setattr(analysis, "_pencil_parameter", bent)
+        parameters = analysis._pencil_parameters
+        bent = lambda F, base, sq, cs: [None if C == conics[1] else a for C, a in zip(cs, parameters(F, base, sq, cs))]
+        monkeypatch.setattr(analysis, "_pencil_parameters", bent)
     text = json.dumps(certify_union_of_conics(U), default=cli._jsonable)
     assert hashlib.sha256(text.encode()).hexdigest() == _CERT_DIGESTS[path], text
 

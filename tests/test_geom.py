@@ -20,7 +20,6 @@ from unitals.geom import (
     projective_space,
     span,
     tangent_counts,
-    tangent_lines,
 )
 from oracles import apply_collineation, line_through
 
@@ -245,19 +244,20 @@ def test_line_counts():
     counts = line_counts(S)
     assert counts.tolist() == [len(set(pts) & set(S.indices())) for pts in plane.lines.tolist()]
     assert counts[4] == 4
-    assert tangent_lines(S).tolist() == [li for li, c in enumerate(counts.tolist()) if c == 1]
     # tangent lines through each point, counted line by line
-    through = [sum(1 for li in tangent_lines(S).tolist() if pi in plane.lines[li]) for pi in range(plane.npoints)]
+    tangents = [li for li, c in enumerate(counts.tolist()) if c == 1]
+    through = [sum(1 for li in tangents if pi in plane.lines[li]) for pi in range(plane.npoints)]
     assert tangent_counts(S).tolist() == through
     # S is line 4: its points lie on 3 other lines, any other point on 4 lines through S
     assert through == [3 if S.member[pi] else 4 for pi in range(plane.npoints)]
 
 
 def test_line_counts_read_the_table_in_blocks(monkeypatch):
-    # at plane order 121, with the 7 MB table in 220 blocks of rows, the
-    # counts are those of the whole boolean incidence and the peak is the
-    # counts and one block, about 0.03x the table; the incidence itself
-    # would be 0.25x
+    # at plane order 121, with blocks of 67 rows of the 7 MB table, the
+    # counts read the rows of the set's 1,476 points, 23 blocks, and are
+    # those of the whole boolean incidence.  The peak is the counts, the
+    # set's point indices and one block, 0.0325x the table; the incidence
+    # itself would be 0.25x
     plane = projective_plane(field(11, 2))
     S = PointSet(plane, np.random.default_rng(11).random(plane.npoints) < 0.1)
     whole = np.count_nonzero(S.member[plane.lines], axis=1)
@@ -270,6 +270,26 @@ def test_line_counts_read_the_table_in_blocks(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(counts, whole)
     assert peak < 0.04 * plane.lines.nbytes
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (3, 2), (5, 2), (7, 2), (17, 2)])
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.floats(0, 1))
+def test_counts_from_chosen_rows_match_the_whole_incidence(p, h, block, seed, share):
+    # the counts read only the rows of the set's points, and of its tangent
+    # lines, in default blocks and in blocks of one row; the whole boolean
+    # incidence, line by line, gives the same numbers.  Random sets, sparse
+    # ones most often, at plane orders 2 to 289
+    plane = projective_plane(field(p, h))
+    S = PointSet(plane, np.random.default_rng(seed).random(plane.npoints) < share**2)
+    whole = np.count_nonzero(S.member[plane.lines], axis=1)
+    tangents = plane.lines[whole == 1]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(geom, "_LINE_BLOCK_ENTRIES", block)
+        assert np.array_equal(line_counts(S), whole)
+        assert np.array_equal(tangent_counts(S), np.bincount(tangents.ravel(), minlength=plane.npoints))
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])

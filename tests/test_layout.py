@@ -1,7 +1,8 @@
 """The library holds what its claims run: every function, class and method
 defined in a ``unitals`` module is referenced somewhere in those modules
-outside its own definition.  Oracles and helpers that only the tests call
-live in ``tests/oracles.py``."""
+outside its own definition, and every defaulted parameter is passed by
+some call there.  Oracles and helpers that only the tests call live in
+``tests/oracles.py``, and a knob that only the tests turn is no option."""
 
 import ast
 import pathlib
@@ -44,3 +45,70 @@ def test_every_library_definition_has_a_caller_in_the_library():
         and used[kinds][name] == _references(node, kinds)[name]
     ]
     assert unused == [], f"defined in src/unitals but never used there: {unused}"
+
+
+def _defaulted(tree):
+    """(called name, qualified name, parameter, position) of every parameter
+    with a default of every function and method, the position counted
+    among the arguments a call writes out: a method's self is bound, and
+    a class is called by its own name for __init__."""
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else []
+        for fn, owner in [(node, None)] + [(m, node.name) for m in methods]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            bound = 1 if owner else 0
+            called = owner if fn.name == "__init__" else fn.name
+            qualname = f"{owner}.{fn.name}" if owner else fn.name
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first - bound):
+                yield called, qualname, arg.arg, i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield called, qualname, arg.arg, None
+
+
+def _passed(tree):
+    """(called name, keywords, positional) for every call: the names it
+    passes by keyword, and how many positional arguments it writes, none
+    of them bounded when one is starred."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        # partial(f, *args) passes args to f
+        if isinstance(func, ast.Name) and func.id == "partial" and args:
+            func, args = args[0], args[1:]
+        if not isinstance(func, (ast.Name, ast.Attribute)):
+            continue
+        name = func.id if isinstance(func, ast.Name) else func.attr
+        starred = any(isinstance(x, ast.Starred) for x in args)
+        yield name, {k.arg for k in node.keywords}, float("inf") if starred else len(args)
+
+
+def test_every_defaulted_parameter_is_passed_in_the_library():
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    calls = [call for tree in trees for call in _passed(tree)]
+
+    def passed(called, param, position):
+        return any(
+            name == called
+            and (
+                param in keywords
+                or None in keywords  # **kwargs
+                or position is not None
+                and position < positional
+            )
+            for name, keywords, positional in calls
+        )
+
+    unpassed = [
+        f"{qualname}({param}=)"
+        for tree in trees
+        for called, qualname, param, position in _defaulted(tree)
+        # cli.main takes argv from the tests and sys.argv from the console
+        if qualname != "main" and not passed(called, param, position)
+    ]
+    assert unpassed == [], f"defaulted parameters that no call in src/unitals passes: {unpassed}"
