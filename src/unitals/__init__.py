@@ -20,10 +20,6 @@ from .conic import Conic, PencilKind, canonical_pencil
 from .geom import PointSet, projective_plane, projective_space
 from .gf import GF, QuadraticCharacter, field
 from .unital import UnitalReport, behs_unital, hermitian_unital, is_unital, tangent_structure
-from .veronese import (
-    cone_residual_intersection,
-    line_meets_veronese,
-    veronese_point,
-)
+from .veronese import cone_residual_intersection, line_meets_veronese
 
 __version__ = "0.1.0"

@@ -73,11 +73,11 @@ from operator import or_
 
 import numpy as np
 
-from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, rank1_rows
+from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, quadratic_rows, rank1_rows
 from .geom import PointSet, det3, line_blocks, projective_space, span
 from .gf import GF, QuadraticCharacter
 from .unital import is_unital, unital_q
-from .veronese import sorted_unique, veronese_point
+from .veronese import sorted_unique
 
 
 class NotStated(ValueError):
@@ -619,11 +619,11 @@ def _pencil_parameters(F: GF, base, tangent_sq, conics):
     None when C is not in that pencil.  ``span(F, base, tangent_sq)``
     lists tangent_sq, then base + a * tangent_sq for a = 0, 1, ..., n-1,
     so a is C's position in that list less one; tangent_sq itself has no
-    parameter.  The span is indexed once for all the conics."""
+    parameter.  The span is indexed once, and so are the conics."""
     space5 = projective_space(F, 5)
     members = space5.index_rows(span(F, base, tangent_sq)).tolist()
     parameter = {m: a for a, m in enumerate(members[1:])}
-    return [parameter.get(space5.index(C.coeffs)) for C in conics]
+    return [parameter.get(i) for i in space5.index_rows(np.array([C.coeffs for C in conics])).tolist()]
 
 
 def certify_union_of_conics(S: PointSet) -> UnionCertificate:
@@ -674,7 +674,8 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
         cert.notes = ["contained conics do not share the tangent at the base point"]
         return cert
     cert.tangent = tangent
-    params = _pencil_parameters(F, conics[0].coeffs, veronese_point(F, *tangent), conics)
+    # the image of a normalised triple is normalised
+    params = _pencil_parameters(F, conics[0].coeffs, quadratic_rows(F, [tangent])[0], conics)
     if None in params:
         cert.notes = ["contained conics do not lie in one pencil"]
         return cert

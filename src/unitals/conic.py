@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import GF
-from .geom import PointSet, det3, inv3, line_counts, matvec3, projective_plane, tangent_counts
+from .geom import PointSet, det3, inv3, line_counts, matvec3, projective_plane, projective_space, tangent_counts
 
 
 class PencilKind(enum.Enum):
@@ -37,20 +37,12 @@ _MINOR_PAIRS = (
 )
 
 
-def symmetric_rank_leq1(F: GF, q) -> bool:
-    """True when the symmetric 3x3 matrix built from the 6-tuple is nonzero
-    of rank 1."""
-    if not any(q):
-        return False
-    mul = F.mul
-    return all(mul(q[i], q[j]) == mul(q[k], q[l]) for i, j, k, l in _MINOR_PAIRS)
-
-
 def rank1_rows(F: GF, rows):
-    """``symmetric_rank_leq1`` over the last axis of a (..., 6) array of
-    field elements: a boolean array of shape rows.shape[:-1].  Each minor
-    after the first, and the nonzero test, run only on the rows still
-    alive (a zero row makes every minor vanish)."""
+    """Whether the symmetric 3x3 matrix built from each 6-tuple along the
+    last axis of a (..., 6) array of field elements is nonzero of rank 1:
+    a boolean array of shape rows.shape[:-1].  Each minor after the
+    first, and the nonzero test, run only on the rows still alive (a zero
+    row makes every minor vanish)."""
     mulf = F.mul_table.ravel()
     flat = rows.reshape(-1, 6)
 
@@ -111,14 +103,10 @@ class Conic:
         coeffs = tuple(F.require_element(c, "coefficient") for c in coeffs)
         if len(coeffs) != 6:
             raise ValueError("a conic needs 6 coefficients")
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
+        if not any(coeffs):
             raise ValueError("all-zero coefficient tuple")
-        if lead != 1:
-            inv = F.inv(lead)
-            coeffs = tuple(F.mul(inv, c) for c in coeffs)
         self.field = F
-        self.coeffs = coeffs
+        self.coeffs = projective_space(F, 5).normalize(coeffs)
         self._characters = None
         self._rank = None
         self._det = None
@@ -185,7 +173,7 @@ class Conic:
             if det3(F, self.matrix()) != 0:
                 self._rank = 3
             else:
-                self._rank = 1 if symmetric_rank_leq1(F, self.coeffs) else 2
+                self._rank = 1 if rank1_rows(F, np.array(self.coeffs)) else 2
         return self._rank
 
     @property

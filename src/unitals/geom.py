@@ -75,16 +75,6 @@ class ProjectiveSpace:
                 return tuple(0 if j < i else F.mul(inv, x) for j, x in enumerate(vec))
         raise ValueError("zero vector has no projective point")
 
-    def index(self, coords) -> int:
-        """Canonical index of a normalised point."""
-        m, d = self.field.order, self.dim
-        i = next(t for t, c in enumerate(coords) if c)
-        idx = self._offsets[i]
-        for t in range(i + 1, d + 1):
-            # int(): a numpy row's fixed-width coordinates would overflow
-            idx += int(coords[t]) * m ** (d - t)
-        return idx
-
     def point(self, idx: int):
         """Normalised coordinates of the point with the given index."""
         m, d = self.field.order, self.dim

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conic import Conic, quadratic_rows, symmetric_rank_leq1
+from .conic import Conic, quadratic_rows, rank1_rows
 from .gf import GF
 from .geom import point_array, projective_space, span
 
@@ -25,16 +25,9 @@ def sorted_unique(idx):
     large arrays than np.unique, which in numpy 2.4 also imports numpy.ma
     on its first call."""
     idx.sort()
-    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-
-
-def veronese_point(F: GF, a: int, b: int, c: int):
-    """Normalised image (a^2,b^2,c^2,ab,ac,bc) of a nonzero triple."""
-    if a == 0 and b == 0 and c == 0:
-        raise ValueError("the zero triple has no Veronese image")
-    mul = F.mul
-    v = (mul(a, a), mul(b, b), mul(c, c), mul(a, b), mul(a, c), mul(b, c))
-    return projective_space(F, 5).normalize(v)
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = idx[1:] != idx[:-1]
+    return idx[keep]
 
 
 @lru_cache(maxsize=None)
@@ -48,14 +41,13 @@ def veronese_indices(F: GF):
 
 
 def line_meets_veronese(F: GF, P, Q):
-    """The points of the line PQ of PG(5,n) lying on V, canonical order."""
+    """The points of the line PQ of PG(5,n) lying on V, canonical order.
+    Every row of the span is indexed, so that a pair spanning no line,
+    P = 0, Q = 0 or P ~ Q, is refused through its zero row."""
     space = projective_space(F, 5)
-    found = {}
-    for R in span(F, P, Q).tolist():
-        Rn = space.normalize(R)
-        if symmetric_rank_leq1(F, Rn):
-            found[space.index(Rn)] = Rn
-    return [found[i] for i in sorted(found)]
+    rows = span(F, P, Q)
+    idx = space.index_rows(rows)[rank1_rows(F, rows)]
+    return [space.point(int(i)) for i in sorted_unique(idx)]
 
 
 # -- cones in numpy ------------------------------------------------------------
@@ -72,7 +64,7 @@ def cone_point_indices(C: Conic):
     F = C.field
     V = quadratic_rows(F, point_array(F.order, 2))
     rows = span(F, V, C.coeffs).reshape(-1, 6)
-    if symmetric_rank_leq1(F, C.coeffs):
+    if rank1_rows(F, np.array(C.coeffs)):
         rows = rows[rows.any(axis=1)]
     # drop repeats: the apex, and points on lines meeting V twice
     return sorted_unique(projective_space(F, 5).index_rows(rows))

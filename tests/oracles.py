@@ -3,6 +3,9 @@ fast paths against.  No claim runs them, so they live with the tests.
 
 - ``nullspace``: Gaussian elimination over F, the reference for the
   closed-form pencils and pencil parameters of the conic search;
+- ``point_index``, ``symmetric_rank_leq1`` and ``scalar_line_meets_veronese``:
+  one point at a time, the references for ``index_rows``, ``rank1_rows``
+  and ``line_meets_veronese``;
 - ``apply_collineation``, ``transform_points`` and ``line_through``: one
   point at a time in PG(2,n), so that the inputs of the tests on the
   pencil search are not built by the search's own line-value code;
@@ -15,13 +18,14 @@ fast paths against.  No claim runs them, so they live with the tests.
 
 import enum
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from unitals.conic import Conic, rank1_rows, symmetric_rank_leq1
+from unitals.conic import Conic, rank1_rows
 from unitals.geom import PointSet, det3, matvec3, projective_space, span
 from unitals.gf import GF, QuadraticCharacter
-from unitals.veronese import line_meets_veronese, sorted_unique
+from unitals.veronese import sorted_unique
 
 
 def nullspace(F: GF, rows) -> list:
@@ -59,6 +63,44 @@ def nullspace(F: GF, rows) -> list:
     return basis
 
 
+# -- points, one at a time ------------------------------------------------------
+
+
+def point_index(space, coords) -> int:
+    """Canonical index of a normalised point of PG(d,n): the points whose
+    leading one sits at position i form the block at offset
+    (n^(d-i) - 1)/(n - 1), which counts the later coordinates in base n."""
+    m, d = space.field.order, space.dim
+    i = next(t for t, c in enumerate(coords) if c)
+    idx = (m ** (d - i) - 1) // (m - 1)
+    for t in range(i + 1, d + 1):
+        # int(): a numpy row's fixed-width coordinates would overflow
+        idx += int(coords[t]) * m ** (d - t)
+    return idx
+
+
+def symmetric_rank_leq1(F: GF, q) -> bool:
+    """True when the symmetric 3x3 matrix built from the 6-tuple is nonzero
+    of rank 1: every one of its nine 2x2 minors vanishes."""
+    M = ((q[0], q[3], q[4]), (q[3], q[1], q[5]), (q[4], q[5], q[2]))
+    pairs = list(combinations(range(3), 2))
+    return any(q) and all(
+        F.mul(M[i][k], M[j][l]) == F.mul(M[i][l], M[j][k]) for i, j in pairs for k, l in pairs
+    )
+
+
+def scalar_line_meets_veronese(F: GF, P, Q):
+    """The points of the line PQ of PG(5,n) lying on V, canonical order:
+    each point of the span normalised and rank-tested alone."""
+    space = projective_space(F, 5)
+    found = {}
+    for R in span(F, P, Q).tolist():
+        Rn = space.normalize(R)
+        if symmetric_rank_leq1(F, Rn):
+            found[point_index(space, Rn)] = Rn
+    return [found[i] for i in sorted(found)]
+
+
 # -- PG(2,n), one point at a time ----------------------------------------------
 
 
@@ -74,7 +116,7 @@ def transform_points(plane, M, pts: PointSet) -> PointSet:
     """The image of a point set of PG(2,n) under x -> Mx."""
     if det3(plane.field, M) == 0:
         raise ValueError("transform needs an invertible matrix")
-    return PointSet.from_indices(plane, (plane.index(apply_collineation(plane, M, plane.point(i))) for i in pts))
+    return PointSet.from_indices(plane, (point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in pts))
 
 
 def line_through(plane, P, Q):
@@ -129,7 +171,7 @@ def cone_contains(C: Conic, Q) -> bool:
     Qn = space.normalize(tuple(Q))
     if Qn == apex:
         return True
-    return bool(line_meets_veronese(F, apex, Qn))
+    return bool(scalar_line_meets_veronese(F, apex, Qn))
 
 
 def cone_hits(F: GF, coeffs, coords):
@@ -155,7 +197,7 @@ def swept_cone_indices(C: Conic):
     F = C.field
     space = projective_space(F, 5)
     idx = np.flatnonzero(cone_hits(F, C.coeffs, space.coords_array()))
-    idx = sorted_unique(np.append(idx, space.index(C.coeffs)))
+    idx = sorted_unique(np.append(idx, point_index(space, C.coeffs)))
     idx.flags.writeable = False
     return idx
 
@@ -171,7 +213,7 @@ def scan_residuals(C: Conic, partners):
     cand_coords = space.coords_array()[cand]
     out = []
     for D in partners:
-        found = cand[cone_hits(F, D.coeffs, cand_coords) | (cand == space.index(D.coeffs))]
+        found = cand[cone_hits(F, D.coeffs, cand_coords) | (cand == point_index(space, D.coeffs))]
         found = np.setdiff1d(found, space.index_rows(span(F, C.coeffs, D.coeffs)), assume_unique=True)
         found = found[~rank1_rows(F, space.coords_array()[found])]
         out.append([space.point(int(i)) for i in found])

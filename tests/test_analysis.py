@@ -30,12 +30,11 @@ from unitals.analysis import (
     _scan_lines,
 )
 from unitals.cli import _prime_power
-from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil
+from unitals.conic import Conic, PencilKind, _monomials, canonical_pencil, quadratic_rows
 from unitals.geom import PointSet, det3, line_counts, projective_plane, projective_space, span
 from unitals.gf import field
 from unitals.unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
-from unitals.veronese import veronese_point
-from oracles import PointClass, classify_point, line_through, nullspace, transform_points
+from oracles import PointClass, classify_point, line_through, nullspace, point_index, transform_points
 
 
 def test_classify_pair_canonical_cases():
@@ -390,7 +389,7 @@ def test_pencil_search_finds_construction_conics(F):
     assert sorted(C.coeffs for C in got) == sorted(C.coeffs for C in conics)
     assert len(got) == len(conics) == unital_q(F)
     space5 = projective_space(F, 5)
-    assert [space5.index(C.coeffs) for C in got] == sorted(space5.index(C.coeffs) for C in got)
+    assert [point_index(space5, C.coeffs) for C in got] == sorted(point_index(space5, C.coeffs) for C in got)
     assert conics_contained(hermitian_unital(F), method="pencil") == []
 
 
@@ -407,7 +406,7 @@ def test_pencil_search_commutes_with_collineations(p):
         assert len(inside) == count
         for _ in range(2):
             M = random_invertible(F, rng)
-            images = sorted((C.transform(M) for C in inside), key=lambda C: space5.index(C.coeffs))
+            images = sorted((C.transform(M) for C in inside), key=lambda C: point_index(space5, C.coeffs))
             assert conics_contained(transform_points(plane, M, S), method="pencil") == images
     assert conics_contained(PointSet(plane, np.zeros(plane.npoints, dtype=bool)), method="pencil") == []
 
@@ -834,7 +833,7 @@ def test_pencil_parameter_matches_null_space(spec):
         triple = (0, 0, 0)
         while not any(triple):
             triple = tuple(rng.randrange(F.order) for _ in range(3))
-        tangent_sq = veronese_point(F, *triple)
+        tangent_sq = space5.normalize(quadratic_rows(F, [triple])[0].tolist())
         base = tangent_sq
         while base == tangent_sq:
             base = space5.point(rng.randrange(space5.npoints))

@@ -11,14 +11,14 @@ from unitals.conic import (
     _monomials,
     canonical_pencil,
     eval_many,
+    quadratic_rows,
     rank1_rows,
-    symmetric_rank_leq1,
 )
 from unitals.analysis import random_invertible
 from unitals.cli import _jsonable
 from unitals.geom import matvec3, projective_plane, projective_space
 from unitals.gf import field
-from oracles import PointClass, apply_collineation, classify_point, nullspace
+from oracles import PointClass, apply_collineation, classify_point, nullspace, point_index, symmetric_rank_leq1
 
 
 def hyperbola(F):
@@ -28,7 +28,7 @@ def hyperbola(F):
 def tangent_count_oracle(C):
     """Tangent lines of a conic counted through every plane point."""
     plane = C.plane
-    tls = {plane.index(plane.normalize(C.tangent_at(plane.point(pi)))) for pi in C.points().indices()}
+    tls = {point_index(plane, plane.normalize(C.tangent_at(plane.point(pi)))) for pi in C.points().indices()}
     cnt = [0] * plane.npoints
     for li in tls:
         assert C.points().member[plane.lines[li]].sum() == 1
@@ -123,7 +123,7 @@ def test_point_counts():
     # repeated line: the n+1 points of z = 0
     Z = Conic(F, (0, 0, 1, 0, 0, 0))
     plane = projective_plane(F)
-    assert Z.points().indices() == plane.lines[plane.index((0, 0, 1))].tolist()
+    assert Z.points().indices() == plane.lines[point_index(plane, (0, 0, 1))].tolist()
     # two distinct lines through the plane: 2n+1 points
     assert Conic(F, (0, 0, 0, 1, 0, 0)).points().card == 2 * n + 1
 
@@ -195,7 +195,7 @@ def test_tangents():
         C.tangent_at((0, 0, 1))
     plane = projective_plane(F)
     for pi in C.points().indices():
-        li = plane.index(plane.normalize(C.tangent_at(plane.point(pi))))
+        li = point_index(plane, plane.normalize(C.tangent_at(plane.point(pi))))
         assert C.points().member[plane.lines[li]].sum() == 1
 
 
@@ -231,7 +231,7 @@ def test_nucleus_tangent_concurrency_all_ovals():
                 nuc = C.nucleus()
                 ovals += 1
                 # the nucleus carries all n+1 tangents
-                ni = plane.index(nuc)
+                ni = point_index(plane, nuc)
                 tl = [
                     li
                     for li in np.flatnonzero((plane.lines == ni).any(axis=1))
@@ -265,7 +265,7 @@ def test_transform_matches_point_images():
     C = hyperbola(F)
     M = ((1, 2, 0), (0, 1, 1), (1, 0, 2))
     Ct = C.transform(M)
-    imgs = {plane.index(apply_collineation(plane, M, plane.point(i))) for i in C.points().indices()}
+    imgs = {point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in C.points().indices()}
     assert set(Ct.points().indices()) == imgs
     assert Ct.rank() == 3
 
@@ -288,7 +288,7 @@ def test_transform_matches_point_images_at_larger_orders(p, h):
         M = random_invertible(F, rng)
         checked += 1
         Ct = C.transform(M)
-        imgs = {plane.index(apply_collineation(plane, M, plane.point(i))) for i in C.points().indices()}
+        imgs = {point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in C.points().indices()}
         assert set(Ct.points().indices()) == imgs
         values = [(Ct.evaluate(matvec3(F, M, P)), C.evaluate(P)) for P in map(plane.point, range(plane.npoints))]
         assert all((g == 0) == (f == 0) for g, f in values)
@@ -316,7 +316,7 @@ def test_case1_collineation_maps_exceptional_conics():
         r = next(x for x in F.elements() if F.mul(x, x) == b)
         sigma = ((1, 0, 0), (0, b, 0), (0, 0, r))
         imgs = {
-            plane.index(apply_collineation(plane, sigma, plane.point(i)))
+            point_index(plane, apply_collineation(plane, sigma, plane.point(i)))
             for i in e_conic(b).points().indices()
         }
         assert imgs == set(e_conic(1).points().indices())
@@ -399,3 +399,15 @@ def test_rank1_rows_matches_scalar_on_pg59():
     # any leading shape, and the zero row
     assert rank1_rows(F, pts[:60].reshape(3, 4, 5, 6)).ravel().tolist() == want[:60]
     assert rank1_rows(F, np.zeros((1, 6), dtype=np.uint8)).tolist() == [False]
+    # random rows and scaled Veronese images, in characteristic 2 and at
+    # order 289, whose tables are uint16 and row offsets uint32
+    rng = np.random.default_rng(59)
+    for F in (field(2, 2), field(2, 3), field(17, 2)):
+        n = F.order
+        triples = rng.integers(0, n, size=(300, 3))
+        triples = triples[triples.any(axis=1)]
+        images = F.mul_table[rng.integers(1, n, size=(len(triples), 1)), quadratic_rows(F, triples)]
+        rows = np.concatenate([rng.integers(0, n, size=(300, 6)), images]).astype(F.mul_table.dtype)
+        want = [symmetric_rank_leq1(F, q) for q in rows.tolist()]
+        assert rank1_rows(F, rows).tolist() == want
+        assert sum(want) >= len(images)

@@ -2,13 +2,16 @@
 defined in a ``unitals`` module is referenced somewhere in those modules
 outside its own definition, and every defaulted parameter is passed by
 some call there.  Oracles and helpers that only the tests call live in
-``tests/oracles.py``, and a knob that only the tests turn is no option."""
+``tests/oracles.py``, and a knob that only the tests turn is no option.
+Each oracle in turn is referenced by a test module or by another oracle,
+so that a reference stays one the tests compare against."""
 
 import ast
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "unitals"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "unitals"
 
 
 # a function or class is used where its name is read, a method only where
@@ -33,18 +36,31 @@ def _references(node, kinds):
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds))
 
 
-def test_every_library_definition_has_a_caller_in_the_library():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    used = {kinds: sum((_references(t, kinds) for t in trees.values()), Counter()) for kinds in (NAMES, ATTRIBUTES)}
-    unused = [
+def _unused(modules, readers):
+    """module:qualified name of every definition in ``modules`` (file name
+    to tree) that no tree of ``readers`` uses outside the definition."""
+    used = {kinds: sum((_references(t, kinds) for t in readers), Counter()) for kinds in (NAMES, ATTRIBUTES)}
+    return [
         f"{module}:{qualname}"
-        for module, tree in trees.items()
+        for module, tree in modules.items()
         for name, qualname, node, kinds in _definitions(tree)
         # dunders are called by Python; cli.main looks up cmd_* by name
         if not (name.startswith("__") and name.endswith("__") or name.startswith("cmd_"))
         and used[kinds][name] == _references(node, kinds)[name]
     ]
+
+
+def test_every_library_definition_has_a_caller_in_the_library():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    unused = _unused(trees, trees.values())
     assert unused == [], f"defined in src/unitals but never used there: {unused}"
+
+
+def test_every_oracle_has_a_caller_in_the_tests():
+    oracles = ast.parse((TESTS / "oracles.py").read_text())
+    tests = [ast.parse(p.read_text()) for p in sorted(TESTS.glob("test_*.py"))]
+    unused = _unused({"oracles.py": oracles}, [oracles, *tests])
+    assert unused == [], f"defined in tests/oracles.py but used by no test or other oracle: {unused}"
 
 
 def _defaulted(tree):

@@ -12,6 +12,7 @@ from unitals.unital import (
     tangent_structure,
     unital_q,
 )
+from oracles import point_index
 
 
 @pytest.mark.parametrize("p,h,q", [(2, 2, 2), (3, 2, 3), (2, 4, 4), (5, 2, 5)])
@@ -59,7 +60,7 @@ def test_behs_structure():
     F = field(3, 2)
     plane = projective_plane(F)
     U, conics = behs_unital(F)
-    base = plane.index((0, 1, 0))
+    base = point_index(plane, (0, 1, 0))
     # pairwise intersections are exactly the common base point
     for i in range(len(conics)):
         for j in range(i + 1, len(conics)):
@@ -82,7 +83,7 @@ def test_behs_conic_tangents_are_unital_tangents():
     }
     for C in conics:
         for pi in C.points().indices():
-            li = plane.index(plane.normalize(C.tangent_at(plane.point(pi))))
+            li = point_index(plane, plane.normalize(C.tangent_at(plane.point(pi))))
             assert li in tangent_line
 
 

@@ -10,47 +10,72 @@ from unitals.analysis import (
     case1_exceptional_vpoints,
     case_residual_formula,
 )
-from unitals.conic import Conic, PencilKind, canonical_pencil, symmetric_rank_leq1
+from unitals.conic import Conic, PencilKind, canonical_pencil, quadratic_rows, rank1_rows
 from unitals.geom import projective_plane, projective_space, span
 from unitals.gf import field
 from unitals.veronese import (
     cone_point_indices,
     cone_residual_intersection,
     line_meets_veronese,
+    sorted_unique,
     veronese_indices,
-    veronese_point,
 )
-from oracles import cone_contains, scalar_residuals, scan_residuals, swept_cone_indices
+from oracles import (
+    cone_contains,
+    point_index,
+    scalar_line_meets_veronese,
+    scalar_residuals,
+    scan_residuals,
+    swept_cone_indices,
+    symmetric_rank_leq1,
+)
+
+
+def veronese_image(F, triple):
+    """The normalised Veronese image of a nonzero triple."""
+    return projective_space(F, 5).normalize(quadratic_rows(F, [triple])[0].tolist())
 
 
 def test_veronese_point_examples():
     F = field(3, 2)
-    assert veronese_point(F, 0, 0, 1) == (0, 0, 1, 0, 0, 0)
-    assert veronese_point(F, 1, 1, 1) == (1, 1, 1, 1, 1, 1)
-    with pytest.raises(ValueError, match="the zero triple has no Veronese image"):
-        veronese_point(F, 0, 0, 0)
+    assert quadratic_rows(F, [(0, 0, 1), (1, 1, 1), (0, 2, 1)]).tolist() == [
+        [0, 0, 1, 0, 0, 0],
+        [1, 1, 1, 1, 1, 1],
+        [0, F.mul(2, 2), 1, 0, 0, 2],
+    ]
+    # the image of a normalised triple is normalised
+    images = quadratic_rows(F, projective_plane(F).coords_array())
+    assert all(tuple(r) == projective_space(F, 5).normalize(r) for r in images.tolist())
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2)])
 def test_image_count(p, h):
     F = field(p, h)
     n = F.order
-    imgs = {veronese_point(F, *t) for t in projective_plane(F).coords_array().tolist()}
+    imgs = {veronese_image(F, t) for t in projective_plane(F).coords_array().tolist()}
     assert len(imgs) == n * n + n + 1
     idx = veronese_indices(F)
-    assert len(set(idx.tolist())) == n * n + n + 1
-    assert idx.tolist() == sorted(idx.tolist()) and not idx.flags.writeable
+    assert idx.tolist() == sorted(point_index(projective_space(F, 5), P) for P in imgs)
+    assert not idx.flags.writeable
     # the image depends only on the projective class
-    assert veronese_point(F, 0, 0, 1) == veronese_point(F, 0, 0, 2 % n or 1)
+    assert veronese_image(F, (0, 0, 1)) == veronese_image(F, (0, 0, 2 % n or 1))
 
 
 def test_is_on_veronese():
     # V is the set of rank-1 points
     F = field(3, 2)
-    assert symmetric_rank_leq1(F, (0, 0, 1, 0, 0, 0))
-    assert not symmetric_rank_leq1(F, (1, 1, 1, 0, 0, 0))
     C = canonical_pencil(F, PencilKind.HYPERBOLIC, 1)
-    assert not symmetric_rank_leq1(F, C.coeffs)
+    rows = [(0, 0, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0), C.coeffs]
+    assert [symmetric_rank_leq1(F, q) for q in rows] == [True, False, False]
+    assert rank1_rows(F, np.array(rows)).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize(
+    "given,want",
+    [([], []), ([7], [7]), ([3, 1, 3, 3, 2, 1], [1, 2, 3]), ([5, 5, 5], [5])],
+)
+def test_sorted_unique(given, want):
+    assert sorted_unique(np.array(given, dtype=np.int64)).tolist() == want
 
 
 def test_conic_vpoint_roundtrip():
@@ -118,13 +143,63 @@ def test_cone_covers_line_and_surface():
             assert cone_contains(C, P) and cone_contains(D, P)
 
 
-def test_line_meets_veronese():
-    F = field(3, 2)
-    P0 = canonical_pencil(F, PencilKind.PARABOLIC, 0)
-    P1 = canonical_pencil(F, PencilKind.PARABOLIC, 1)
-    assert line_meets_veronese(F, P0.coeffs, P1.coeffs) == [(0, 0, 1, 0, 0, 0)]
-    v1, v2 = veronese_point(F, 1, 0, 0), veronese_point(F, 0, 1, 0)
-    assert len(line_meets_veronese(F, v1, v2)) == 2
+def _lines_by_hits(F, rng):
+    """Point pairs of PG(5,n) spanning lines through 0, 1 and 2 points of
+    V, two of each, judged by the scalar scan."""
+    space = projective_space(F, 5)
+    plane = projective_plane(F)
+    surface = [veronese_image(F, t) for t in plane.coords_array().tolist()]
+    found = {0: [], 1: [], 2: []}
+    while any(len(pairs) < 2 for pairs in found.values()):
+        P = rng.choice(surface) if rng.random() < 0.3 else space.point(rng.randrange(space.npoints))
+        Q = rng.choice(surface) if rng.random() < 0.5 else space.point(rng.randrange(space.npoints))
+        if P == Q:
+            continue
+        hits = len(scalar_line_meets_veronese(F, P, Q))
+        if len(found[hits]) < 2:
+            found[hits].append((P, Q))
+    return [pair for pairs in found.values() for pair in pairs]
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (2, 4), (5, 2), (7, 2), (5, 1)])
+def test_line_meets_veronese(p, h):
+    # orders 9, 16, 25 and 49, and the prime order 5, whose case-1
+    # exceptional line for k = beta = 4 passes through z^2
+    F = field(p, h)
+    pairs = _lines_by_hits(F, random.Random(F.order))
+    if p != 2:
+        pairs += [
+            case1_exceptional_vpoints(F, k, beta) for k in admissible_ks(F, 1) for beta in F.elements() if beta > 1
+        ]
+    for P, Q in pairs:
+        want = scalar_line_meets_veronese(F, P, Q)
+        assert line_meets_veronese(F, P, Q) == want
+        # the line, not the pair, decides
+        assert line_meets_veronese(F, Q, P) == want
+    if F.order == 5:
+        assert line_meets_veronese(F, *case1_exceptional_vpoints(F, 4, 4)) == [(0, 0, 1, 0, 0, 0)]
+    if F.order == 9:
+        P0 = canonical_pencil(F, PencilKind.PARABOLIC, 0)
+        P1 = canonical_pencil(F, PencilKind.PARABOLIC, 1)
+        assert line_meets_veronese(F, P0.coeffs, P1.coeffs) == [(0, 0, 1, 0, 0, 0)]
+        v1, v2 = veronese_image(F, (1, 0, 0)), veronese_image(F, (0, 1, 0))
+        assert len(line_meets_veronese(F, v1, v2)) == 2
+
+
+@pytest.mark.parametrize(
+    "P,Q",
+    [
+        ((0, 0, 1, 0, 0, 0), (0, 0, 2, 0, 0, 0)),
+        ((1, 2, 0, 0, 1, 0), (1, 2, 0, 0, 1, 0)),
+        ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
+        ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_line_meets_veronese_refuses_a_degenerate_pair(P, Q):
+    # P ~ Q, P = Q or a zero point spans no line: some row of the span
+    # vanishes, and indexing it refuses
+    with pytest.raises(ValueError, match="spans no projective point"):
+        line_meets_veronese(field(3, 2), P, Q)
 
 
 def test_case1_exceptional_lines_miss_surface():
@@ -184,7 +259,7 @@ def test_direct_cone_matches_sweep(p, h):
         if any(coeffs):
             apexes.append(Conic(F, coeffs))
     # rank-1 apexes, points of V itself
-    apexes += [Conic(F, veronese_point(F, *t)) for t in ((1, 0, 0), (1, 1, 1), (0, 1, rng.randrange(1, n)))]
+    apexes += [Conic(F, row) for row in quadratic_rows(F, [(1, 0, 0), (1, 1, 1), (0, 1, rng.randrange(1, n))])]
     for C in apexes:
         assert np.array_equal(cone_point_indices(C), swept_cone_indices(C)), C
 
