@@ -213,8 +213,9 @@ def run_nucleus() -> dict:
 
 def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
     """Exact cone residuals against the closed-form residual lists for one
-    case, at every order: each residual is the intersection of the two
-    directly built cones, so it covers all of PG(5,n) ("sweep": "full").
+    case, at every order: each residual is read off the projection of the
+    Veronese surface from the apex line, which is exact over all of
+    PG(5,n) ("sweep": "full").
 
     Case 1 also asks that no exceptional line p1 p_beta meet V.  That
     fails, rightly, at orders = 5 mod 8: k = -1 is admissible exactly when

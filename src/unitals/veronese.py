@@ -1,16 +1,17 @@
-"""The PG(5,q) side: Veronese surface, conic points P(C), cones, and the
+"""The PG(5,q) side: Veronese surface, conic points P(C), and the
 cone-intersection residuals.
 
 A conic corresponds to the PG(5,q) point carrying its coefficient tuple
 (a11,a22,a33,a12,a13,a23); rank-1 conics make up the Veronese surface V and
 every conic C of rank > 1 spans the cone Gamma(C) projecting V from P(C).
-A point Q other than P(C) lies on Gamma(C) exactly when the line P(C)Q meets
-V away from P(C), so the cone is built directly: P(C), every point of V, and
-every point P(C) + lambda*v for v on V, about n^3 rows normalised in numpy.
-The residuals of one conic C against several partners build Gamma(C) once.
+No cone is built: the residual of the cones of C and D, their common
+points off the line P(C)P(D) and off V, is read off the projection of V
+from that line, the n^2+n+1 rows of V per pair of conics in numpy.  The
+tests keep the direct build, about n^3 rows per cone, as the oracle.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -50,31 +51,79 @@ def line_meets_veronese(F: GF, P, Q):
     return [space.point(int(i)) for i in sorted_unique(idx)]
 
 
-# -- cones in numpy ------------------------------------------------------------
+# -- cone residuals by projection from the apex line ---------------------------
 
 
-def cone_point_indices(C: Conic):
-    """Sorted PG(5,n) indices of the full cone of C, built directly: the
-    lines from the apex to every Veronese point v, that is the apex and
-    every point v + lambda*apex (v itself at lambda = 0), so that the
-    lambda-multiples are taken of the apex alone.  Such a row vanishes
-    only when v is the apex's own point, so zero rows occur, and are
-    dropped, only for a rank-1 apex, a point of V; the rows of an apex of
-    higher rank are never scanned for them."""
-    F = C.field
-    V = quadratic_rows(F, point_array(F.order, 2))
-    rows = span(F, V, C.coeffs).reshape(-1, 6)
-    if rank1_rows(F, np.array(C.coeffs)):
-        rows = rows[rows.any(axis=1)]
-    # drop repeats: the apex, and points on lines meeting V twice
-    return sorted_unique(projective_space(F, 5).index_rows(rows))
+def _apex_line_meets(F: GF, V, c, d):
+    """Rows, repeats included, of the points cv1 & dv2 over every ordered
+    pair of distinct rows v1, v2 of V that lie off the line cd and project
+    from it to one point.
+
+    Two columns i, j on which c and d are independent split each row as
+    v = a*c + b*d + w with w zero at i and j; w = 0 on the line cd, and
+    otherwise its normalised entries key the image.  For a pair with one
+    key, w2 = g*w1 with g = lead(w2)/lead(w1), so v2 - g*v1 lies in <c, d>
+    with d-coefficient b2 - g*b1, and the meet is v2 - (b2 - g*b1)*d."""
+    mul, mulf, addf = F.mul_table, F.mul_table.ravel(), F.add_table.ravel()
+
+    def lin(x, s, y, t):
+        # s*x + t*y over F, for arrays x, y and scalars s, t
+        return addf[F.row_offsets(mul[s][x]) + mul[t][y]]
+
+    def minor(k, l):
+        return F.sub(F.mul(c[k], d[l]), F.mul(c[l], d[k]))
+
+    i, j = next((i, j) for i, j in combinations(range(6), 2) if minor(i, j))
+    e = F.inv(minor(i, j))
+    # Cramer on columns i and j: b = e*(c_i v_j - c_j v_i), and
+    # w_k = v_k - a*c_k - b*d_k = v_k - e*minor(k, j)*v_i + e*minor(k, i)*v_j
+    W = np.stack(
+        [
+            addf[F.row_offsets(V[:, k]) + lin(V[:, i], F.neg(F.mul(e, minor(k, j))), V[:, j], F.mul(e, minor(k, i)))]
+            for k in range(6)
+            if k not in (i, j)
+        ],
+        axis=1,
+    )
+    off = np.flatnonzero(W.any(axis=1))
+    V, W = V[off], W[off]
+    lead = W[np.arange(len(W)), (W != 0).argmax(axis=1)]
+    inv_lead = F.inv_table[lead]
+    key = mulf[F.row_offsets(inv_lead)[:, None] + W] @ F.order ** np.arange(3, -1, -1, dtype=np.int64)
+    order = np.argsort(key)
+    key = key[order]
+    repeated = np.zeros(len(key), dtype=bool)
+    repeated[1:] = key[1:] == key[:-1]
+    repeated[:-1] |= repeated[1:]
+    rows, key = order[repeated], key[repeated]
+    # the ordered pairs of rows sharing a key: equal keys are neighbours,
+    # so once no key has a partner at offset o none has one further on
+    v1, v2 = [rows[:0]], [rows[:0]]
+    for o in range(1, len(key)):
+        r = np.flatnonzero(key[o:] == key[:-o])
+        if not len(r):
+            break
+        v1 += [rows[r], rows[r + o]]
+        v2 += [rows[r + o], rows[r]]
+    v1, v2 = np.concatenate(v1), np.concatenate(v2)
+    g = mulf[F.row_offsets(lead[v2]) + inv_lead[v1]]
+    ci, cj = F.mul(e, c[i]), F.neg(F.mul(e, c[j]))
+    b1, b2 = lin(V[v1, j], ci, V[v1, i], cj), lin(V[v2, j], ci, V[v2, i], cj)
+    b = addf[F.row_offsets(b2) + F.neg_table[mulf[F.row_offsets(g) + b1]]]
+    return addf[F.row_offsets(V[v2]) + mul[b[:, None], F.neg_table[list(d)]]]
 
 
 def cone_residual_intersection(C: Conic, partners):
     """For each conic D of ``partners``, all points of (Gamma(C) & Gamma(D))
     minus the line P(C)P(D) minus V, in canonical index order, as coordinate
-    tuples: one list per partner.  Both cones are built directly, which is
-    exact at every order; the cone of C is built once."""
+    tuples: one list per partner.
+
+    A point X of the residual lies on lines cv1 and dv2, c = P(C), d = P(D),
+    with v1 != v2 points of V off the line cd; both lie in the plane
+    <cd, X>, so they project from cd to one point.  Conversely two such
+    points of V give coplanar lines cv1 and dv2 meeting in one point off
+    cd.  So the residual is the set of those meets, minus V: exact at every
+    order, from the n^2+n+1 rows of V per partner."""
     F = C.field
     partners = list(partners)
     for D in partners:
@@ -85,11 +134,10 @@ def cone_residual_intersection(C: Conic, partners):
     if F.p != 2 and any(E.rank() != 3 for E in [C, *partners]):
         raise ValueError("residual intersection needs irreducible conics")
     space = projective_space(F, 5)
-    cone_c = cone_point_indices(C)
+    V = quadratic_rows(F, point_array(F.order, 2))
     out = []
     for D in partners:
-        found = np.intersect1d(cone_c, cone_point_indices(D), assume_unique=True)
-        found = np.setdiff1d(found, space.index_rows(span(F, C.coeffs, D.coeffs)), assume_unique=True)
+        found = sorted_unique(space.index_rows(_apex_line_meets(F, V, C.coeffs, D.coeffs)))
         found = np.setdiff1d(found, veronese_indices(F), assume_unique=True)
         out.append([space.point(int(i)) for i in found])
     return out

@@ -11,9 +11,13 @@ fast paths against.  No claim runs them, so they live with the tests.
   pencil search are not built by the search's own line-value code;
 - ``PointClass`` and ``classify_point``: the per-point classifier behind
   ``Conic.classify_array`` and ``analysis.no_external_points``;
+- ``cone_point_indices`` and ``direct_residuals``: each cone built
+  directly, about n^3 rows, and the residual as the intersection of two
+  such cones, the reference for ``cone_residual_intersection``, which
+  projects V from the apex line instead;
 - ``cone_contains``, ``swept_cone_indices``, ``scan_residuals`` and
   ``scalar_residuals``: the PG(5,n) sweeps behind ``cone_point_indices``
-  and ``cone_residual_intersection``.
+  and the residuals, point by point or over all of PG(5,n).
 """
 
 import enum
@@ -22,10 +26,10 @@ from itertools import combinations
 
 import numpy as np
 
-from unitals.conic import Conic, rank1_rows
-from unitals.geom import PointSet, det3, matvec3, projective_space, span
+from unitals.conic import Conic, quadratic_rows, rank1_rows
+from unitals.geom import PointSet, det3, matvec3, point_array, projective_space, span
 from unitals.gf import GF, QuadraticCharacter
-from unitals.veronese import sorted_unique
+from unitals.veronese import sorted_unique, veronese_indices
 
 
 def nullspace(F: GF, rows) -> list:
@@ -155,6 +159,41 @@ def classify_point(C: Conic, P) -> PointClass:
     if F.quadratic_character(w) == QuadraticCharacter.NONZERO_SQUARE:
         return PointClass.EXTERNAL
     return PointClass.INTERNAL
+
+
+# -- cones over the Veronese surface, built directly ---------------------------
+
+
+def cone_point_indices(C: Conic):
+    """Sorted PG(5,n) indices of the full cone of C, built directly: the
+    lines from the apex to every Veronese point v, that is the apex and
+    every point v + lambda*apex (v itself at lambda = 0), so that the
+    lambda-multiples are taken of the apex alone.  Such a row vanishes
+    only when v is the apex's own point, so zero rows occur, and are
+    dropped, only for a rank-1 apex, a point of V."""
+    F = C.field
+    V = quadratic_rows(F, point_array(F.order, 2))
+    rows = span(F, V, C.coeffs).reshape(-1, 6)
+    if rank1_rows(F, np.array(C.coeffs)):
+        rows = rows[rows.any(axis=1)]
+    # drop repeats: the apex, and points on lines meeting V twice
+    return sorted_unique(projective_space(F, 5).index_rows(rows))
+
+
+def direct_residuals(C: Conic, partners):
+    """``cone_residual_intersection`` as the intersection of the two
+    directly built cones, minus the points of the line P(C)P(D) and of V;
+    the cone of C is built once."""
+    F = C.field
+    space = projective_space(F, 5)
+    cone_c = cone_point_indices(C)
+    out = []
+    for D in partners:
+        found = np.intersect1d(cone_c, cone_point_indices(D), assume_unique=True)
+        found = np.setdiff1d(found, space.index_rows(span(F, C.coeffs, D.coeffs)), assume_unique=True)
+        found = np.setdiff1d(found, veronese_indices(F), assume_unique=True)
+        out.append([space.point(int(i)) for i in found])
+    return out
 
 
 # -- cones over the Veronese surface, by sweeping PG(5,n) ----------------------

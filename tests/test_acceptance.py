@@ -30,12 +30,8 @@ from unitals.analysis import (
 from unitals.cli import run_theorem3
 from unitals.gf import field
 from unitals.unital import behs_unital, hermitian_unital, is_unital, tangent_structure
-from unitals.veronese import (
-    cone_point_indices,
-    cone_residual_intersection,
-    line_meets_veronese,
-)
-from oracles import scan_residuals, swept_cone_indices
+from unitals.veronese import cone_residual_intersection, line_meets_veronese
+from oracles import cone_point_indices, direct_residuals, scan_residuals, swept_cone_indices
 
 
 def report(num: int, ok: bool, t0: float, desc: str) -> float:
@@ -135,6 +131,7 @@ def test_criterion_6_cone_oracle_vs_closed_forms():
             apexes.add(C)
             scan = scan_residuals(C, Ds)
             ok &= cone_residual_intersection(C, Ds) == scan
+            ok &= direct_residuals(C, Ds) == scan
             for k, res in zip(ks, scan):
                 ok &= res == case_residual_formula(F, case, k)
                 if case == 3:
@@ -148,7 +145,7 @@ def test_criterion_6_cone_oracle_vs_closed_forms():
                     continue
                 p1, pb = case1_exceptional_vpoints(F, k, beta)
                 ok &= line_meets_veronese(F, p1, pb) == []
-    dt = report(6, ok, t0, "full PG(5,9) and PG(5,25) sweeps match the closed forms and the direct cones for every admissible k")
+    dt = report(6, ok, t0, "full PG(5,9) and PG(5,25) sweeps match the closed forms, the projected and the direct cones for every admissible k")
     assert ok and dt < 900.0
 
 

@@ -635,6 +635,22 @@ def test_cone_residual_q9_stdout_is_byte_identical(capsys):
 
 
 @pytest.mark.parametrize(
+    "case, digest",
+    [
+        (1, "5e3a5eb3cc68bac742f4025dd9e862fe36378f1e533701ed779a8ac6381ac8e2"),
+        (2, "0969f027cf65232c75a809d4b9cfd16805e51c0fbc4ec075b5d189b3393208a6"),
+        (3, "133d75e4ef392d3c507f5ca0270fef599409452d33913a2b65952769e978999b"),
+    ],
+)
+def test_cone_residual_q11_stdout_is_byte_identical(capsys, case, digest):
+    # plane order 121, whose cones have 1,786,324 points each: the digests
+    # come from intersecting the two directly built cones
+    assert main(["cone-residual", "--q", "11", "--case", str(case)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         ("classify-pair --q 5 --case 1 --k 7 --k2 11", "500e70b8ee08a292a33b339a1ee5318e480603bac0b23172275b1ee8912bec20"),

@@ -14,7 +14,6 @@ from unitals.conic import Conic, PencilKind, canonical_pencil, quadratic_rows, r
 from unitals.geom import projective_plane, projective_space, span
 from unitals.gf import field
 from unitals.veronese import (
-    cone_point_indices,
     cone_residual_intersection,
     line_meets_veronese,
     sorted_unique,
@@ -22,6 +21,8 @@ from unitals.veronese import (
 )
 from oracles import (
     cone_contains,
+    cone_point_indices,
+    direct_residuals,
     point_index,
     scalar_line_meets_veronese,
     scalar_residuals,
@@ -223,6 +224,7 @@ def test_scan_matches_scalar_reference(p, case, k):
         D = canonical_pencil(F, PencilKind.PARABOLIC, k)
     scalar = scalar_residuals(C, [D])
     assert scan_residuals(C, [D]) == scalar
+    assert direct_residuals(C, [D]) == scalar
     assert cone_residual_intersection(C, [D]) == scalar
 
 
@@ -235,6 +237,7 @@ def test_residual_formulas_n9():
         pairs = [canonical_case_pair(F, case, k) for k in ks]
         C, Ds = pairs[0][0], [D for _, D in pairs]
         scan = scan_residuals(C, Ds)
+        assert direct_residuals(C, Ds) == scan
         assert cone_residual_intersection(C, Ds) == scan
         assert scan == [cone_residual_intersection(C, [D])[0] for D in Ds]
         for k, res in zip(ks, scan):
@@ -264,22 +267,60 @@ def test_direct_cone_matches_sweep(p, h):
         assert np.array_equal(cone_point_indices(C), swept_cone_indices(C)), C
 
 
-def test_cone_build_peaks_within_six_spans():
-    # the direct build at order 81 reads 544,726 span rows, a 3.3 MB
-    # (rows, 6) array; its temporaries stay within 6x that
+@pytest.mark.parametrize("p,h", [(7, 1), (3, 2), (11, 1), (5, 2), (7, 2)])
+def test_residual_matches_direct_cones_for_every_case(p, h):
+    F = field(p, h)
+    for case in (1, 2, 3):
+        ks = admissible_ks(F, case)
+        if not ks:
+            continue
+        pairs = [canonical_case_pair(F, case, k) for k in ks]
+        C, Ds = pairs[0][0], [D for _, D in pairs]
+        assert cone_residual_intersection(C, Ds) == direct_residuals(C, Ds), case
+
+
+def _random_apex(F, rng, irreducible):
+    while True:
+        coeffs = tuple(rng.randrange(F.order) for _ in range(6))
+        if any(coeffs) and (not irreducible or Conic(F, coeffs).rank() == 3):
+            return Conic(F, coeffs)
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (5, 2), (7, 2), (2, 2), (2, 3), (2, 4)])
+def test_residual_matches_direct_cones_on_random_pairs(p, h):
+    # irreducible pairs in odd characteristic, where the residual refuses
+    # any other; in characteristic 2 any apex, a fifth of them rank-1 points
+    # of V, so that the apex line may pass through V
+    F = field(p, h)
+    n = F.order
+    rng = random.Random(1000 * p + h)
+    odd = p != 2
+    for t in range(25):
+        C, D = _random_apex(F, rng, odd), _random_apex(F, rng, odd)
+        if not odd and t % 5 == 0:
+            C = Conic(F, quadratic_rows(F, [(1, rng.randrange(n), rng.randrange(n))])[0])
+        if C == D:
+            continue
+        assert cone_residual_intersection(C, [D]) == direct_residuals(C, [D]), (C, D)
+
+
+def test_residual_peaks_below_one_direct_cone():
+    # one direct cone at order 81 spans 544,726 rows, a 3.3 MB (rows, 6)
+    # array; the residual reads the 6,643 rows of V, and any array with a
+    # row per cone point, n^3 of them, would outgrow the bound
     F = field(3, 4)
     n = F.order
-    C, _ = canonical_case_pair(F, 1, admissible_ks(F, 1)[0])
+    C, D = canonical_case_pair(F, 1, admissible_ks(F, 1)[0])
     span_bytes = (n * n + n + 1) * (n + 1) * 6 * F.mul_table.itemsize
-    cone_point_indices(C)  # field tables and the memoised PG(5,n) built untraced
+    cone_residual_intersection(C, [D])  # field tables and V's indices built untraced
     tracemalloc.start()
     try:
-        cone = cone_point_indices(C)
+        res = cone_residual_intersection(C, [D])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(cone) == 538084
-    assert peak <= 6 * span_bytes
+    assert len(res[0]) == n - 1
+    assert peak < span_bytes
 
 
 def test_residual_rejects_bad_input():
