@@ -67,9 +67,8 @@ coefficient of x_i*x_j (i != j) is not halved, and log -1 is 0.
 import enum
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import or_
 
 import numpy as np
 
@@ -100,17 +99,17 @@ class PencilReport:
     hypothesis_holds: bool
 
 
-def no_external_points(C: Conic, pts_d: PointSet) -> bool:
+def no_external_points(C: Conic, D: Conic) -> bool:
     """Whether every point of D minus C avoids the external points of C.
-    An external point of C is off C, so this is D against them all."""
-    return not (C.classify_array()[pts_d.member] == 1).any()
+    An external point of C is off C, so this classifies D's points alone."""
+    return not (C.classify_array(D.point_indices()) == 1).any()
 
 
 def classify_pair(C: Conic, D: Conic) -> PencilReport:
     """Intersection pattern, pencil type and rank-1 member of a pair of
     distinct irreducible conics, plus whether D\\C avoids the external
-    points of C.  The common points, in canonical order, are read off the
-    plane's coordinate array with the conics' own point sets."""
+    points of C.  The common points, in canonical order, are those in both
+    conics' sorted point indices."""
     F = C.field
     if F != D.field:
         raise ValueError("conics live over different fields")
@@ -118,8 +117,8 @@ def classify_pair(C: Conic, D: Conic) -> PencilReport:
         raise ValueError("the two conics coincide")
     if C.rank() != 3 or D.rank() != 3:
         raise ValueError("pencil classification needs irreducible conics")
-    pts_d = D.points()
-    common = list(map(tuple, C.plane.coords_array()[C.points().member & pts_d.member].tolist()))
+    both = np.intersect1d(C.point_indices(), D.point_indices(), assume_unique=True)
+    common = [C.plane.point(int(i)) for i in both]
     # the pencil's n+1 members, in span order; the first of rank 1 is reported
     members = span(F, C.coeffs, D.coeffs)
     hits = np.flatnonzero(rank1_rows(F, members))
@@ -134,7 +133,7 @@ def classify_pair(C: Conic, D: Conic) -> PencilReport:
         ptype = PencilType.HYPEROSCULATING
     else:
         ptype = PencilType.OTHER
-    hyp = no_external_points(C, pts_d)
+    hyp = no_external_points(C, D)
     return PencilReport((C, D), common, ptype, rank1, hyp)
 
 
@@ -528,10 +527,11 @@ def random_invertible(F: GF, rng: random.Random):
 
 def _hypothesis_matrix(conics):
     """Boolean (k, k) array whose entry [i, j] is
-    ``no_external_points(conics[i], conics[j].points())``.  Every conic is
+    ``no_external_points(conics[i], conics[j])``.  Every conic is
     irreducible, with n+1 points, so their point indices form one
-    (k, n+1) array, and row i reads conic i's external points there."""
-    pts = np.array([C.points().indices() for C in conics])
+    (k, n+1) array, and row i reads conic i's external points there from
+    one ``classify_array`` of the plane, dropped before the next row."""
+    pts = np.array([C.point_indices() for C in conics])
     return np.array([~(C.classify_array() == 1)[pts].any(axis=1) for C in conics])
 
 
@@ -588,7 +588,7 @@ def verify_afkl(F: GF, samples: int = 0, seed: int = 0) -> AfklReport:
         if (
             not rep.hypothesis_holds
             or rep.ptype == PencilType.OTHER
-            or not no_external_points(D1, C1.points())
+            or not no_external_points(D1, C1)
         ):
             violations.append(rep)
     return AfklReport(n, checked, hyp_pairs, sym_pairs, sampled, violations, not violations)
@@ -655,9 +655,9 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
         )
         cert.notes = [note]
         return cert
-    uncovered = (S - reduce(or_, (C.points() for C in conics))).indices()
-    if uncovered:
-        cert.uncovered = uncovered
+    uncovered = np.setdiff1d(np.flatnonzero(S.member), np.concatenate([C.point_indices() for C in conics]))
+    if len(uncovered):
+        cert.uncovered = uncovered.tolist()
         return cert
     cert.covered = True
 

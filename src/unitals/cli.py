@@ -151,11 +151,14 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
                 conics.append(C)
     # internal points, points of C, external points: cls + 1 is 0, 1, 2
     census = [n * (n - 1) // 2, n + 1, n * (n + 1) // 2]
-    counts_ok = all(np.bincount(C.classify_array() + 1, minlength=3).tolist() == census for C in conics)
-    # an irreducible conic's tangents are the lines meeting it once; an
-    # internal point lies on none of them, a point of C on one, an
-    # external point on two
-    agree_ok = all((tangent_counts(C.points()) == C.classify_array() + 1).all() for C in conics)
+    counts_ok = agree_ok = True
+    for C in conics:
+        cls = C.classify_array() + 1
+        counts_ok &= np.bincount(cls, minlength=3).tolist() == census
+        # an irreducible conic's tangents are the lines meeting it once; an
+        # internal point lies on none of them, a point of C on one, an
+        # external point on two
+        agree_ok &= bool((tangent_counts(C.points()) == cls).all())
     return {
         "claim": "theorem3",
         "field": F.describe(),
@@ -273,8 +276,6 @@ def run_main_claim(F: GF) -> dict:
     q = unital_q(F)
     out = {"claim": "main", "field": F.describe(), "q": q}
     cross = F.order <= 25
-    # Hermitian first, so that its search runs before the BEHS conics and
-    # certificate, each conic with a plane-sized array, are built
     H = hermitian_unital(F)
     cert_h = analysis.certify_union_of_conics(H)
     got_h = cert_h.conics

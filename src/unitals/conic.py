@@ -95,9 +95,11 @@ def eval_many(F: GF, coeffs, rows):
 
 
 class Conic:
-    """A conic of PG(2,n), identified with its normalised coefficient tuple."""
+    """A conic of PG(2,n), identified with its normalised coefficient tuple.
+    Its point set is kept as the sorted indices of its points alone, n+1
+    of them when it is irreducible, never as a plane-sized array."""
 
-    __slots__ = ("field", "coeffs", "_characters", "_rank", "_det")
+    __slots__ = ("field", "coeffs", "_points", "_rank", "_det")
 
     def __init__(self, F: GF, coeffs):
         coeffs = tuple(F.require_element(c, "coefficient") for c in coeffs)
@@ -107,7 +109,7 @@ class Conic:
             raise ValueError("all-zero coefficient tuple")
         self.field = F
         self.coeffs = projective_space(F, 5).normalize(coeffs)
-        self._characters = None
+        self._points = None
         self._rank = None
         self._det = None
 
@@ -138,18 +140,16 @@ class Conic:
             cross = F.mul(F.add(1, 1), cross)
         return F.add(v, cross)
 
-    def _plane_characters(self):
-        """int8 per plane point: the quadratic character of the form's
-        value, 0 on the conic.  One ``eval_many`` over the plane, kept for
-        ``points`` and ``classify_array``; at one byte per point it holds
-        no more than a kept point set would."""
-        if self._characters is None:
-            F = self.field
-            self._characters = F.character_table[eval_many(F, self.coeffs, _monomials(self.plane))]
-        return self._characters
+    def point_indices(self):
+        """Sorted, read-only int64 array of the indices of the conic's
+        points, from one ``eval_many`` over the plane, kept."""
+        if self._points is None:
+            self._points = np.flatnonzero(eval_many(self.field, self.coeffs, _monomials(self.plane)) == 0)
+            self._points.flags.writeable = False
+        return self._points
 
     def points(self) -> PointSet:
-        return PointSet(self.plane, self._plane_characters() == 0)
+        return PointSet.from_indices(self.plane, self.point_indices())
 
     # -- matrix machinery (odd characteristic) ------------------------------
 
@@ -188,14 +188,16 @@ class Conic:
 
     # -- classification ------------------------------------------------------
 
-    def classify_array(self):
-        """int8 per plane point: 0 on the conic, 1 external, -1 internal."""
+    def classify_array(self, at=slice(None)):
+        """int8 per plane point, or per index of ``at``: 0 on the conic, 1
+        external, -1 internal.  Not kept: each call evaluates the form."""
         self._require_odd()
         if self.rank() != 3:
             raise ValueError("point classification needs an irreducible conic")
         # the character is multiplicative: chi(-det*f(P)) = chi(-det)*chi(f(P))
         F = self.field
-        return self._plane_characters() * F.character_table[F.neg(self.det())]
+        values = eval_many(F, self.coeffs, _monomials(self.plane)[at])
+        return F.character_table[values] * F.character_table[F.neg(self.det())]
 
     def tangent_at(self, P):
         """Dual vector of the tangent line at a point of the conic (A.P)."""

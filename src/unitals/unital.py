@@ -11,9 +11,7 @@ its own counts.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import isqrt
-from operator import or_
 
 import numpy as np
 
@@ -52,7 +50,7 @@ def behs_unital(F: GF, t: int | None = None):
         raise ValueError(f"t = {t} is a square")
     params = sorted(F.mul(t, u) for u in F.subfield_elements(q))
     conics = [canonical_pencil(F, PencilKind.PARABOLIC, F.neg(a)) for a in params]
-    return reduce(or_, (C.points() for C in conics)), conics
+    return PointSet.from_indices(projective_plane(F), np.concatenate([C.point_indices() for C in conics])), conics
 
 
 def _profile(values) -> dict:

@@ -10,7 +10,9 @@ fast paths against.  No claim runs them, so they live with the tests.
   point at a time in PG(2,n), so that the inputs of the tests on the
   pencil search are not built by the search's own line-value code;
 - ``PointClass`` and ``classify_point``: the per-point classifier behind
-  ``Conic.classify_array`` and ``analysis.no_external_points``;
+  ``Conic.classify_array``, over the plane or at given point indices, and
+  ``analysis.no_external_points``, which classifies one conic's points
+  alone;
 - ``cone_point_indices`` and ``direct_residuals``: each cone built
   directly, about n^3 rows, and the residual as the intersection of two
   such cones, the reference for ``cone_residual_intersection``, which

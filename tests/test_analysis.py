@@ -54,7 +54,7 @@ def test_classify_pair_canonical_cases():
                 assert rep.rank1_member is not None and rep.rank1_member.rank() == 1
                 assert rep.hypothesis_holds
                 # admissible parameters make the hypothesis symmetric
-                assert no_external_points(D, C.points())
+                assert no_external_points(D, C)
 
 
 def test_no_external_points_matches_classify_point():
@@ -77,7 +77,7 @@ def test_no_external_points_matches_classify_point():
                     classify_point(C, plane.point(pi)) != PointClass.EXTERNAL
                     for pi in (D.points() - C.points()).indices()
                 )
-                assert no_external_points(C, D.points()) == want
+                assert no_external_points(C, D) == want
                 seen.add(want)
         assert seen == {True, False}
 
@@ -138,13 +138,19 @@ def test_rank1_member_matches_per_member_rank(spec, pairs):
     assert seen == {True, False}
 
 
+def _canonical_conics(F):
+    return (
+        [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
+        + [canonical_pencil(F, PencilKind.ELLIPTIC, k) for k in F.units()]
+        + [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
+    )
+
+
 @pytest.mark.parametrize("spec", [(3, 2), (5, 2)])
 def test_hypothesis_matrix_matches_classify_point(spec):
     F = field(*spec)
     plane = projective_plane(F)
-    conics = [canonical_pencil(F, PencilKind.HYPERBOLIC, k) for k in F.units()]
-    conics += [canonical_pencil(F, PencilKind.ELLIPTIC, k) for k in F.units()]
-    conics += [canonical_pencil(F, PencilKind.PARABOLIC, k) for k in F.elements()]
+    conics = _canonical_conics(F)
     hyp = _hypothesis_matrix(conics)
     for i, C in enumerate(conics):
         external = {pi for pi in range(plane.npoints) if classify_point(C, plane.point(pi)) == PointClass.EXTERNAL}
@@ -153,6 +159,42 @@ def test_hypothesis_matrix_matches_classify_point(spec):
                 want = all(pi not in external for pi in (D.points() - C.points()).indices())
                 assert hyp[i, j] == want, (C, D)
     assert hyp.any() and not hyp.all()
+
+
+def test_certificate_conics_keep_their_points_not_the_plane():
+    # each contained conic keeps its n+1 point indices; one byte per plane
+    # point per conic (28,731 points at q = 13) would be more.  A first
+    # certificate builds the tables the second one reuses
+    U = behs_unital(field(13, 2))[0]
+    certify_union_of_conics(U)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = certify_union_of_conics(U)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cert.signature == "BEHS" and len(cert.conics) == 13
+    assert U.space.npoints == 28_731
+    assert kept < len(cert.conics) * U.space.npoints
+
+
+def test_hypothesis_matrix_keeps_no_plane_array_per_conic():
+    # each row classifies the plane once and drops it; the conics keep
+    # their point indices alone.  A first call on equal conics builds the
+    # plane's tables
+    F = field(11, 2)
+    _hypothesis_matrix(_canonical_conics(F))
+    conics = _canonical_conics(F)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hyp = _hypothesis_matrix(conics)
+        kept = tracemalloc.get_traced_memory()[0] - before - hyp.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(conics) == 361
+    assert kept < len(conics) * projective_plane(F).npoints
 
 
 def test_classify_pair_errors():
@@ -901,7 +943,7 @@ def test_pairs_inside_unital_satisfy_hypothesis_both_ways():
         rep = classify_pair(C, D)
         assert rep.ptype == PencilType.HYPEROSCULATING
         assert rep.hypothesis_holds
-        assert no_external_points(D, C.points())
+        assert no_external_points(D, C)
         # the whole unital minus the conic is internal to it
         plane = projective_plane(F)
         for pi in (U - C.points()).indices():

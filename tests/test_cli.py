@@ -604,15 +604,24 @@ def test_cone_residual_q5_stdout_is_byte_identical(capsys, case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_cone_residual_does_not_import_numpy_ma():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone-residual", "--q", "3", "--case", "1"],
+        ["classify-pair", "--q", "5", "--case", "1", "--k", "7", "--k2", "11"],
+    ],
+    ids=["cone-residual", "classify-pair"],
+)
+def test_cone_residual_does_not_import_numpy_ma(argv):
     # np.unique and np.union1d import numpy.ma on first use (numpy 2.x), a
     # few ms and about 1 MB per process; the cone path sorts and compares
-    # neighbours instead
+    # neighbours instead, and classify_pair intersects its two conics'
+    # point indices as unique arrays, which calls no np.unique
     code = (
         "import sys, numpy\n"
         "eager = 'numpy.ma' in sys.modules\n"
         "from unitals.cli import main\n"
-        "assert main(['cone-residual', '--q', '3', '--case', '1']) == 0\n"
+        f"assert main({argv!r}) == 0\n"
         "print('eager' if eager else 'numpy.ma' in sys.modules)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -691,10 +700,13 @@ def test_report_shapes_are_byte_identical(capsys, argv, digest):
     [
         (["--q", "5", "--samples", "2000", "--seed", "7"], "76a5f052c3ba9ca99a1f19248da17dde899746f5a6da91aa68f41df0c0bea98d"),
         (["--q", "7", "--samples", "300", "--seed", "3"], "d430b765acd9f8da4e2e073aa33f1fde2f34e263bfa268935ace686b9d67b88d"),
+        (["--q", "11", "--samples", "300", "--seed", "3"], "1d7ae57401a7a35712acb4bb751f297942d64767752bb2494e6f5198695f15a2"),
     ],
 )
 def test_check_afkl_stdout_is_byte_identical(capsys, argv, digest):
-    # the AFKL report, sampled pairs included, is pinned byte for byte
+    # the AFKL report, sampled pairs included, is pinned byte for byte; at
+    # q = 11 (plane order 121) its 361 conics give 129,960 ordered pairs,
+    # 21,720 of them hypothesis pairs
     assert main(["check", "--claim", "afkl", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -128,6 +128,33 @@ def test_point_counts():
     assert Conic(F, (0, 0, 0, 1, 0, 0)).points().card == 2 * n + 1
 
 
+@pytest.mark.parametrize("p,h", [(3, 2), (2, 3)])
+def test_point_indices_are_the_zeros_of_the_form(p, h):
+    # one format for every conic, reducible ones and even characteristic
+    # included: the sorted, read-only indices of the zeros, kept
+    F = field(p, h)
+    plane = projective_plane(F)
+    rng = random.Random(p * 100 + h)
+    # z^2 and xy, then random tuples
+    reducible = [(0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)]
+    for coeffs in reducible + [[rng.randrange(F.order) for _ in range(6)] for _ in range(20)]:
+        if not any(coeffs):
+            continue
+        C = Conic(F, coeffs)
+        idx = C.point_indices()
+        assert idx.tolist() == [i for i in range(plane.npoints) if C.evaluate(plane.point(i)) == 0]
+        assert not idx.flags.writeable and C.point_indices() is idx
+        assert C.points().indices() == idx.tolist()
+
+
+def test_classify_array_at_indices_is_the_plane_array_there():
+    F = field(5, 2)
+    C, D = canonical_pencil(F, PencilKind.ELLIPTIC, 1), canonical_pencil(F, PencilKind.PARABOLIC, 2)
+    at = D.point_indices()
+    assert C.classify_array(at).tolist() == C.classify_array()[at].tolist()
+    assert set(C.classify_array(at).tolist()) == {-1, 0, 1}
+
+
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 2)])
 def test_classifier_against_tangent_counts(p, h):
     F = field(p, h)
@@ -343,8 +370,8 @@ def test_internal_membership_parity():
         if k == 1:
             continue
         D = canonical_pencil(F, PencilKind.HYPERBOLIC, k)
-        fwd = no_external_points(C, D.points())
-        bwd = no_external_points(D, C.points())
+        fwd = no_external_points(C, D)
+        bwd = no_external_points(D, C)
         assert fwd == (not F.is_square(F.sub(k, 1)))
         assert bwd == (not F.is_square(F.mul(k, F.sub(k, 1))))
         if fwd and bwd:
@@ -360,8 +387,8 @@ def test_symmetry_needs_both_directions():
     k = next(k for k in F.nonsquares() if not F.is_square(F.sub(k, 1)))
     C = hyperbola(F)
     D = canonical_pencil(F, PencilKind.HYPERBOLIC, k)
-    assert no_external_points(C, D.points())
-    assert not no_external_points(D, C.points())
+    assert no_external_points(C, D)
+    assert not no_external_points(D, C)
     # ground truth by tangent counting: C\D meets two tangents of D
     cnt = tangent_count_oracle(D)
     diffs = (C.points() - D.points()).indices()

@@ -336,8 +336,9 @@ def test_line_table_build_peaks_near_the_table_size():
 
 
 def test_line_table_is_built_on_first_read(monkeypatch):
-    # classify_pair and Conic.points read coordinates alone in odd
-    # characteristic, so they build no table; line_counts builds it once.
+    # classify_pair and Conic.points read the conics' point indices, found
+    # from the plane's coordinates alone in odd characteristic, so they
+    # build no table; line_counts builds it once.
     # Planes are memoised, so this takes an order no other test builds
     built = []
     build = ProjectiveSpace._build_lines
