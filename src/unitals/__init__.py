@@ -18,7 +18,7 @@ from .analysis import (
 )
 from .conic import Conic, PencilKind, canonical_pencil
 from .geom import PointSet, projective_plane, projective_space
-from .gf import GF, QuadraticCharacter, field
+from .gf import GF, field
 from .unital import UnitalReport, behs_unital, hermitian_unital, is_unital, tangent_structure
 from .veronese import cone_residual_intersection, line_meets_veronese
 

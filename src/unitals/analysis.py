@@ -74,7 +74,7 @@ import numpy as np
 
 from .conic import Conic, PencilKind, _monomials, canonical_pencil, eval_many, quadratic_rows, rank1_rows
 from .geom import PointSet, det3, line_blocks, projective_space, span
-from .gf import GF, QuadraticCharacter
+from .gf import GF
 from .unital import is_unital, unital_q
 from .veronese import sorted_unique
 
@@ -683,11 +683,7 @@ def certify_union_of_conics(S: PointSet) -> UnionCertificate:
     t = next((x for x in cert.parameters if x), None)
     cert.parameter_coset_ok = t is not None and set(params) == {F.mul(t, u) for u in F.subfield_elements(q)}
     det0 = conics[0].det()
-    cert.parameter_characters_ok = all(
-        F.quadratic_character(F.mul(det0, x)) == QuadraticCharacter.NON_SQUARE
-        for x in cert.parameters
-        if x
-    )
+    cert.parameter_characters_ok = all(not F.is_square(F.mul(det0, x)) for x in cert.parameters if x)
     if cert.parameter_coset_ok and cert.parameter_characters_ok:
         cert.signature = "BEHS"
     return cert

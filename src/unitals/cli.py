@@ -158,7 +158,7 @@ def run_theorem3(F: GF, samples: int, seed: int) -> dict:
         # an irreducible conic's tangents are the lines meeting it once; an
         # internal point lies on none of them, a point of C on one, an
         # external point on two
-        agree_ok &= bool((tangent_counts(C.points()) == cls).all())
+        agree_ok &= bool((tangent_counts(PointSet(C.plane, cls == 1)) == cls).all())
     return {
         "claim": "theorem3",
         "field": F.describe(),

@@ -169,22 +169,22 @@ class Conic:
 
     def rank(self) -> int:
         if self._rank is None:
-            F = self.field
-            if det3(F, self.matrix()) != 0:
+            if self.det() != 0:
                 self._rank = 3
             else:
-                self._rank = 1 if rank1_rows(F, np.array(self.coeffs)) else 2
+                self._rank = 1 if rank1_rows(self.field, np.array(self.coeffs)) else 2
         return self._rank
 
     @property
     def is_irreducible(self) -> bool:
+        """Rank 3 in odd characteristic.  In characteristic 2 the polar
+        form's radical is spanned by N = (a23, a13, a12); N = 0 leaves a
+        square of a line, and otherwise N is the only candidate singular
+        point, so the conic is irreducible exactly when N is off it."""
         if self.field.p != 2:
             return self.rank() == 3
-        return self._is_oval()
-
-    def _is_oval(self) -> bool:
-        pts = self.points()
-        return pts.card == self.field.order + 1 and bool((line_counts(pts) <= 2).all())
+        N = self.coeffs[:2:-1]
+        return any(N) and self.evaluate(N) != 0
 
     # -- classification ------------------------------------------------------
 
@@ -213,10 +213,11 @@ class Conic:
         F = self.field
         if F.p != 2:
             raise ValueError("the nucleus exists only in even characteristic")
-        if not self._is_oval():
+        pts = self.points()
+        if pts.card != F.order + 1 or (line_counts(pts) > 2).any():
             raise ValueError("point set is not an oval")
         # an oval has one tangent at each of its n+1 points
-        (common,) = np.flatnonzero(tangent_counts(self.points()) == F.order + 1).tolist()
+        (common,) = np.flatnonzero(tangent_counts(pts) == F.order + 1).tolist()
         return self.plane.point(common)
 
     def transform(self, M):

@@ -278,7 +278,7 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, space, idxs):
-        idxs = np.fromiter(idxs, dtype=np.int64)
+        idxs = np.asarray(idxs, dtype=np.int64)
         bad = idxs[(idxs < 0) | (idxs >= space.npoints)]
         if len(bad):
             raise ValueError(f"point index {bad[0]} is outside 0..{space.npoints - 1}")

@@ -9,18 +9,11 @@ For small fields (order <= ``TABLE_LIMIT``) dense numpy operation tables
 are available for vectorised sweeps, each built on first use.
 """
 
-import enum
 from functools import lru_cache
 
 import numpy as np
 
 TABLE_LIMIT = 4096  # largest order for which dense m x m numpy tables are built
-
-
-class QuadraticCharacter(enum.Enum):
-    ZERO = 0
-    NONZERO_SQUARE = 1
-    NON_SQUARE = -1
 
 
 def is_prime(n: int) -> bool:
@@ -242,16 +235,7 @@ class GF:
             return 0
         return self._exp[self._log[a] * k % (self.order - 1)]
 
-    # -- squares and characters ----------------------------------------------
-
-    def quadratic_character(self, a: int) -> QuadraticCharacter:
-        """Zero / nonzero square / non-square.  In even characteristic every
-        nonzero element is a square."""
-        if a == 0:
-            return QuadraticCharacter.ZERO
-        if self.p == 2 or self._log[a] % 2 == 0:
-            return QuadraticCharacter.NONZERO_SQUARE
-        return QuadraticCharacter.NON_SQUARE
+    # -- squares ----------------------------------------------------------
 
     def is_square(self, a: int) -> bool:
         return a == 0 or self.p == 2 or self._log[a] % 2 == 0

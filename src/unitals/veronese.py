@@ -10,7 +10,6 @@ from that line, the n^2+n+1 rows of V per pair of conics in numpy.  The
 tests keep the direct build, about n^3 rows per cone, as the oracle.
 """
 
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -29,16 +28,6 @@ def sorted_unique(idx):
     keep = np.ones(len(idx), dtype=bool)
     keep[1:] = idx[1:] != idx[:-1]
     return idx[keep]
-
-
-@lru_cache(maxsize=None)
-def veronese_indices(F: GF):
-    """Sorted, read-only int64 array of the PG(5,n) indices of the Veronese
-    surface (one per plane point)."""
-    rows = quadratic_rows(F, point_array(F.order, 2))
-    idx = np.sort(projective_space(F, 5).index_rows(rows))
-    idx.flags.writeable = False
-    return idx
 
 
 def line_meets_veronese(F: GF, P, Q):
@@ -137,7 +126,7 @@ def cone_residual_intersection(C: Conic, partners):
     V = quadratic_rows(F, point_array(F.order, 2))
     out = []
     for D in partners:
-        found = sorted_unique(space.index_rows(_apex_line_meets(F, V, C.coeffs, D.coeffs)))
-        found = np.setdiff1d(found, veronese_indices(F), assume_unique=True)
+        X = _apex_line_meets(F, V, C.coeffs, D.coeffs)
+        found = sorted_unique(space.index_rows(X[~rank1_rows(F, X)]))
         out.append([space.point(int(i)) for i in found])
     return out

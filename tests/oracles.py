@@ -13,6 +13,10 @@ fast paths against.  No claim runs them, so they live with the tests.
   ``Conic.classify_array``, over the plane or at given point indices, and
   ``analysis.no_external_points``, which classifies one conic's points
   alone;
+- ``is_oval``: a conic's point set read against the line table, the
+  reference for ``Conic.is_irreducible`` in characteristic 2, and
+  ``veronese_indices``: V as the indexed image of the whole plane, the
+  reference for the rank-1 test that drops V from the residuals;
 - ``cone_point_indices`` and ``direct_residuals``: each cone built
   directly, about n^3 rows, and the residual as the intersection of two
   such cones, the reference for ``cone_residual_intersection``, which
@@ -29,9 +33,9 @@ from itertools import combinations
 import numpy as np
 
 from unitals.conic import Conic, quadratic_rows, rank1_rows
-from unitals.geom import PointSet, det3, matvec3, point_array, projective_space, span
-from unitals.gf import GF, QuadraticCharacter
-from unitals.veronese import sorted_unique, veronese_indices
+from unitals.geom import PointSet, det3, line_counts, matvec3, point_array, projective_space, span
+from unitals.gf import GF
+from unitals.veronese import sorted_unique
 
 
 def nullspace(F: GF, rows) -> list:
@@ -122,7 +126,7 @@ def transform_points(plane, M, pts: PointSet) -> PointSet:
     """The image of a point set of PG(2,n) under x -> Mx."""
     if det3(plane.field, M) == 0:
         raise ValueError("transform needs an invertible matrix")
-    return PointSet.from_indices(plane, (point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in pts))
+    return PointSet.from_indices(plane, [point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in pts])
 
 
 def line_through(plane, P, Q):
@@ -157,10 +161,29 @@ def classify_point(C: Conic, P) -> PointClass:
     v = C.evaluate(P)
     if v == 0:
         return PointClass.ON_CONIC
-    w = F.mul(F.neg(C.det()), v)
-    if F.quadratic_character(w) == QuadraticCharacter.NONZERO_SQUARE:
+    if F.is_square(F.mul(F.neg(C.det()), v)):
         return PointClass.EXTERNAL
     return PointClass.INTERNAL
+
+
+# -- conics and the Veronese surface, point set by point set --------------------
+
+
+def is_oval(C: Conic) -> bool:
+    """Whether the conic's point set is an oval: n+1 points, no line
+    meeting it more than twice."""
+    pts = C.points()
+    return pts.card == C.field.order + 1 and bool((line_counts(pts) <= 2).all())
+
+
+@lru_cache(maxsize=None)
+def veronese_indices(F: GF):
+    """Sorted, read-only int64 array of the PG(5,n) indices of the Veronese
+    surface (one per plane point)."""
+    rows = quadratic_rows(F, point_array(F.order, 2))
+    idx = np.sort(projective_space(F, 5).index_rows(rows))
+    idx.flags.writeable = False
+    return idx
 
 
 # -- cones over the Veronese surface, built directly ---------------------------

@@ -18,7 +18,15 @@ from unitals.analysis import random_invertible
 from unitals.cli import _jsonable
 from unitals.geom import matvec3, projective_plane, projective_space
 from unitals.gf import field
-from oracles import PointClass, apply_collineation, classify_point, nullspace, point_index, symmetric_rank_leq1
+from oracles import (
+    PointClass,
+    apply_collineation,
+    classify_point,
+    is_oval,
+    nullspace,
+    point_index,
+    symmetric_rank_leq1,
+)
 
 
 def hyperbola(F):
@@ -266,6 +274,29 @@ def test_nucleus_tangent_concurrency_all_ovals():
                 ]
                 assert len(tl) == F.order + 1
         assert ovals > 0
+
+
+@pytest.mark.parametrize("h,irreducible", [(1, 28), (2, 1008), (3, 32704)])
+def test_even_irreducibility_is_the_oval_test(h, irreducible):
+    # every conic of PG(5,2^h); the nondegenerate ones number n^5 - n^2
+    F = field(2, h)
+    space5 = projective_space(F, 5)
+    count = 0
+    for i in range(space5.npoints):
+        C = Conic(F, space5.point(i))
+        assert C.is_irreducible == is_oval(C), C
+        count += C.is_irreducible
+    assert count == irreducible
+
+
+def test_even_irreducibility_builds_no_point_set(monkeypatch):
+    def refuse(self):
+        raise AssertionError("point set built")
+
+    monkeypatch.setattr(Conic, "point_indices", refuse)
+    F = field(2, 2)
+    space5 = projective_space(F, 5)
+    assert sum(Conic(F, space5.point(i)).is_irreducible for i in range(space5.npoints)) == 1008
 
 
 def test_canonical_pencil():

@@ -239,6 +239,15 @@ def test_from_indices_refuses_points_outside_the_plane(bad):
         PointSet.from_indices(plane, [0, bad])
 
 
+@pytest.mark.parametrize(
+    "idxs",
+    [[6, 0, 3], (3, 6, 0), range(0, 9, 3), [], *(np.array([6, 3, 0, 3], dtype=t) for t in (np.uint8, np.int32, np.int64))],
+)
+def test_from_indices_takes_any_integer_sequence(idxs):
+    plane = projective_plane(field(3))
+    assert PointSet.from_indices(plane, idxs).indices() == sorted({int(i) for i in idxs})
+
+
 def test_line_counts():
     plane = projective_plane(field(3))
     S = PointSet.from_indices(plane, plane.lines[4].tolist() + [0])

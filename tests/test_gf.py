@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from unitals.gf import (
     GF,
-    QuadraticCharacter,
     default_modulus,
     field,
     is_irreducible,
@@ -113,32 +112,31 @@ def test_exp_table_wraparound():
 def test_quadratic_character_matches_euler_criterion(p, h):
     F = field(p, h)
     m = F.order
+    chi = F.character_table
+    assert F.is_square(0) and chi[0] == 0
     squares = 0
-    for e in F.elements():
-        ch = F.quadratic_character(e)
-        if e == 0:
-            assert ch == QuadraticCharacter.ZERO
-            continue
+    for e in F.units():
         euler = F.pow(e, (m - 1) // 2)
-        assert (ch == QuadraticCharacter.NONZERO_SQUARE) == (euler == 1)
-        if ch == QuadraticCharacter.NONZERO_SQUARE:
-            squares += 1
+        assert F.is_square(e) == (euler == 1)
+        assert chi[e] == (1 if euler == 1 else -1)
+        squares += F.is_square(e)
     assert squares == (m - 1) // 2
 
 
 def test_character_examples():
     F3 = field(3)
-    assert F3.quadratic_character(2) == QuadraticCharacter.NON_SQUARE
+    assert not F3.is_square(2) and F3.character_table[2] == -1
     F9 = field(3, 2)
-    assert F9.quadratic_character(F9.neg(1)) == QuadraticCharacter.NONZERO_SQUARE
-    assert F9.quadratic_character(0) == QuadraticCharacter.ZERO
+    assert F9.is_square(F9.neg(1)) and F9.character_table[F9.neg(1)] == 1
+    assert F9.is_square(0) and F9.character_table[0] == 0
 
 
 def test_even_characteristic_everything_is_square():
     for p, h in ((2, 1), (2, 2), (2, 4)):
         F = field(p, h)
+        assert F.is_square(0) and F.character_table[0] == 0
         for e in F.units():
-            assert F.quadratic_character(e) == QuadraticCharacter.NONZERO_SQUARE
+            assert F.is_square(e) and F.character_table[e] == 1
             assert any(F.mul(r, r) == e for r in F.elements())
 
 
@@ -147,8 +145,8 @@ def test_quadratic_character_against_squaring_oracle(p, h):
     F = field(p, h)
     squares = {F.mul(x, x) for x in F.elements()}
     for e in F.elements():
-        assert (F.quadratic_character(e) != QuadraticCharacter.NON_SQUARE) == (e in squares)
         assert F.is_square(e) == (e in squares)
+        assert F.character_table[e] == (0 if e == 0 else 1 if e in squares else -1)
 
 
 def test_nonsquare_products():
@@ -194,7 +192,7 @@ def test_numpy_tables_match_scalar_ops():
         assert np.array_equal(neg, [F.neg(a) for a in F.elements()]), F
         assert not add[elems, neg].any(), F
         chi = F.character_table
-        assert chi.tolist() == [F.quadratic_character(e).value for e in F.elements()], F
+        assert chi.tolist() == [0 if e == 0 else 1 if F.is_square(e) else -1 for e in F.elements()], F
         # against squaring: 0, then 1 on the nonzero squares and -1 elsewhere
         squares = np.zeros(F.order, dtype=bool)
         squares[mul[elems, elems]] = True

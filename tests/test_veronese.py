@@ -13,12 +13,7 @@ from unitals.analysis import (
 from unitals.conic import Conic, PencilKind, canonical_pencil, quadratic_rows, rank1_rows
 from unitals.geom import projective_plane, projective_space, span
 from unitals.gf import field
-from unitals.veronese import (
-    cone_residual_intersection,
-    line_meets_veronese,
-    sorted_unique,
-    veronese_indices,
-)
+from unitals.veronese import cone_residual_intersection, line_meets_veronese, sorted_unique
 from oracles import (
     cone_contains,
     cone_point_indices,
@@ -29,6 +24,7 @@ from oracles import (
     scan_residuals,
     swept_cone_indices,
     symmetric_rank_leq1,
+    veronese_indices,
 )
 
 
