@@ -177,22 +177,21 @@ def case_residual_formula(F: GF, case: int, k: int):
     """Closed-form list of the cone-intersection residual of a case pair,
     in canonical index order (alpha, in case 2, is the least non-square).
     Case 3 has an empty residual."""
-    mul, add = F.mul_table, F.add_table
-    b = np.arange(1, F.order)
-    b2 = mul[b, b]
-    rows = np.zeros((len(b), 6), dtype=mul.dtype)
+    b = np.arange(1, F.order, dtype=F.dtype)
+    b2 = F.vmul(b, b)
+    rows = np.zeros((len(b), 6), dtype=F.dtype)
     if case == 1:
         omk = F.sub(1, k)
         rows[:, 0] = omk
-        rows[:, 1] = mul[omk, b2]
-        rows[:, 2] = mul[F.add(k, k), b]
-        rows[:, 3] = mul[F.neg(F.add(k, 1)), b]
+        rows[:, 1] = F.vmul(omk, b2)
+        rows[:, 2] = F.vmul(F.add(k, k), b)
+        rows[:, 3] = F.vmul(F.neg(F.add(k, 1)), b)
     elif case == 2:
         alpha = min(F.nonsquares())
-        rows[:, 0] = add[alpha, mul[F.neg(k), b2]]
-        rows[:, 1] = mul[alpha, add[b2, F.neg(F.mul(alpha, k))]]
-        rows[:, 2] = mul[k, add[b2, F.neg(alpha)]]
-        rows[:, 3] = mul[F.mul(alpha, F.sub(1, k)), b]
+        rows[:, 0] = F.vadd(alpha, F.vmul(F.neg(k), b2))
+        rows[:, 1] = F.vmul(alpha, F.vadd(b2, F.neg(F.mul(alpha, k))))
+        rows[:, 2] = F.vmul(k, F.vadd(b2, F.neg(alpha)))
+        rows[:, 3] = F.vmul(F.mul(alpha, F.sub(1, k)), b)
         extra = [(k, F.neg(alpha), F.neg(k), 0, 0, 0), (1, F.neg(F.mul(alpha, k)), F.neg(k), 0, 0, 0)]
         rows = np.concatenate([rows, np.array(extra, dtype=rows.dtype)])
     elif case == 3:
@@ -237,11 +236,11 @@ def _line_values(F: GF, U, keys, table):
     A + B = b*n + a: ``F.add_table.ravel()`` gives u(R) itself and
     ``f[F.add_table].ravel()`` gives f(u(R)).  Each entry is two row-wise
     takes, one sum and one gather."""
-    mul = F.mul_table
     U = np.asarray(U)
-    u1 = mul[U[:, 1]]
-    A = np.concatenate([u1, F.add_table[U[:, :1], u1]], axis=1)
-    B = F.row_offsets(mul[U[:, 2]])
+    r = np.arange(F.order)  # int64, so that the products gather at intp indices
+    u1 = F.vmul(U[:, 1:2], r)
+    A = np.concatenate([u1, F.vadd(U[:, :1], u1)], axis=1)
+    B = F.row_offsets(F.vmul(U[:, 2:], r))
     ka, kb = keys
     idx = B.take(kb, axis=1)
     idx += A.take(ka, axis=1)
@@ -399,14 +398,15 @@ def _pencil_member(F: GF, m, lp, lq, lam):
     """(k, 6) coefficient rows (a11,a22,a33,a12,a13,a23) of the conics
     M^2 + lam*L_P*L_Q, one per row of m, lp, lq and entry of lam: the
     coefficient of x_i*x_j, halved off the diagonal when p is odd."""
-    mul, add = F.mul_table, F.add_table
+    add, mul = F.vadd, F.vmul
     half = F.inv(F.add(1, 1)) if F.p != 2 else 1
-    out = [add[mul[m[:, i], m[:, i]], mul[lam, mul[lp[..., i], lq[..., i]]]] for i in range(3)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        mm = mul[m[:, i], m[:, j]]
-        mixed = add[mul[lp[..., i], lq[..., j]], mul[lp[..., j], lq[..., i]]]
-        out.append(mul[half, add[add[mm, mm], mul[lam, mixed]]])
-    return np.stack(out, axis=1)
+    lam = lam[:, None]
+    diagonal = add(mul(m, m), mul(lam, mul(lp, lq)))
+    # the columns x_0 x_1, x_0 x_2, x_1 x_2
+    i, j = [0, 0, 1], [1, 2, 2]
+    mm = mul(m[:, i], m[:, j])
+    mixed = add(mul(lp[:, i], lq[:, j]), mul(lp[:, j], lq[:, i]))
+    return np.concatenate([diagonal, mul(half, add(add(mm, mm), mul(lam, mixed)))], axis=1)
 
 
 def conics_contained(S: PointSet, method: str = "auto"):

@@ -43,11 +43,10 @@ def rank1_rows(F: GF, rows):
     a boolean array of shape rows.shape[:-1].  Each minor after the
     first, and the nonzero test, run only on the rows still alive (a zero
     row makes every minor vanish)."""
-    mulf = F.mul_table.ravel()
     flat = rows.reshape(-1, 6)
 
     def minor_vanishes(s, i, j, k, l):
-        return mulf[F.row_offsets(s[:, i]) + s[:, j]] == mulf[F.row_offsets(s[:, k]) + s[:, l]]
+        return F.vmul(s[:, i], s[:, j]) == F.vmul(s[:, k], s[:, l])
 
     alive = np.flatnonzero(minor_vanishes(flat, *_MINOR_PAIRS[0]))
     for pair in _MINOR_PAIRS[1:]:
@@ -61,9 +60,8 @@ def rank1_rows(F: GF, rows):
 def quadratic_rows(F: GF, pts):
     """(m, 6) array of the images (x^2, y^2, z^2, xy, xz, yz) of the rows
     (x, y, z) of ``pts``: the Veronese map, not normalised."""
-    x, y, z = np.asarray(pts).T
-    mul = F.mul_table
-    return np.stack([mul[x, x], mul[y, y], mul[z, z], mul[x, y], mul[x, z], mul[y, z]], axis=1)
+    pts = np.asarray(pts)
+    return F.vmul(pts[:, [0, 1, 2, 0, 0, 1]], pts[:, [0, 1, 2, 1, 2, 2]])
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +73,7 @@ def _monomials(plane):
     F = plane.field
     mon = quadratic_rows(F, plane.coords_array())
     if F.p != 2:
-        mon[:, 3:] = F.mul_table[F.add(1, 1)][mon[:, 3:]]
+        mon[:, 3:] = F.vmul(F.add(1, 1), mon[:, 3:])
     return mon
 
 
@@ -84,13 +82,12 @@ def eval_many(F: GF, coeffs, rows):
     coeffs[5]*r[5] over F, one per row r of the (m, 6) array ``rows``.
     With a conic's coefficients and monomial rows these are the form's
     values; the pairing is symmetric, so one point's monomials against
-    coefficient rows works too.  Each product gathers from one row of the
-    multiplication table, each sum from the flat addition table."""
-    mul, add = F.mul_table, F.add_table.ravel()
-    acc = mul[coeffs[0]][rows[:, 0]]
+    coefficient rows works too.  Each product is read from the row of its
+    coefficient, and a zero coefficient adds nothing."""
+    acc = F.vmul(coeffs[0], rows[:, 0])
     for j in range(1, 6):
         if coeffs[j]:
-            acc = add[F.row_offsets(acc) + mul[coeffs[j]][rows[:, j]]]
+            acc = F.vadd(acc, F.vmul(coeffs[j], rows[:, j]))
     return acc
 
 

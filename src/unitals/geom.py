@@ -92,7 +92,7 @@ class ProjectiveSpace:
         """(npoints, dim+1) numpy array of all normalised points, cached; its
         transpose is C-contiguous, one row per coordinate."""
         if self._coords_array is None:
-            self._coords_array = point_array(self.field.order, self.dim)
+            self._coords_array = point_array(self.field, self.dim)
         return self._coords_array
 
     def index_rows(self, rows):
@@ -100,13 +100,13 @@ class ProjectiveSpace:
         (m, dim+1) array: normalize and index, row by row, in numpy.  Every
         entry must be a field element, 0..n-1, and every row nonzero; a
         zero row spans no point, and either fault raises ValueError.  Each
-        row is scaled by the inverse of its leading entry through one
-        gather per coordinate from the flat multiplication table."""
+        row is scaled by the inverse of its leading entry in one ``vmul``,
+        and the index summed up in int64 one coordinate at a time."""
         F = self.field
         m = F.order
         rows = np.asarray(rows)
-        # the flat gather below would read a neighbouring entry for an
-        # out-of-range one, so the range is checked first
+        # vmul would read a neighbouring table entry for an out-of-range
+        # one, so the range is checked first
         if len(rows) and (rows.min() < 0 or rows.max() >= m):
             bad = rows[(rows < 0) | (rows >= m)][0]
             raise ValueError(f"entry {bad} is not a field element (0..{m - 1})")
@@ -114,13 +114,11 @@ class ProjectiveSpace:
         leading = rows[np.arange(len(rows)), lead]
         if not leading.all():
             raise ValueError(f"row {int(np.argmin(leading))} is zero and spans no projective point")
-        # mul(inv, x) sits at inv*m + x of the flat table
-        base = F.row_offsets(F.inv_table[leading])
-        mulf = F.mul_table.ravel()
-        idx = mulf[base + rows[:, 0]].astype(np.int64)
+        digits = F.vmul(F.inv_table[leading][:, None], rows)
+        idx = digits[:, 0].astype(np.int64)
         for t in range(1, self.dim + 1):
             idx *= m
-            idx += mulf[base + rows[:, t]]
+            idx += digits[:, t]
         idx += self._lead_shift[lead]
         return idx
 
@@ -153,42 +151,40 @@ class ProjectiveSpace:
         for start in range(0, self.npoints, block):
             l0, l1, l2 = self.coords_array()[start : start + block].T
             misses_z = l2 != 0  # the line misses (0, 0, 1)
-            q = F.neg_table[F.mul_table[l1, F.inv_table[l2]]]
-            p = F.neg_table[F.mul_table[l0, F.inv_table[l2]]]
-            b = F.neg_table[F.mul_table[l0, F.inv_table[l1]]].astype(np.int32)
+            q = F.neg_table[F.vmul(l1, F.inv_table[l2])]
+            p = F.neg_table[F.vmul(l0, F.inv_table[l2])]
+            b = F.neg_table[F.vmul(l0, F.inv_table[l1])].astype(np.int32)
             rows = out[start : start + block]
             rows[:, 0] = np.where(misses_z, 1 + q.astype(np.int32), 0)
             tail = rows[:, 1:]
             np.multiply(np.where(misses_z, m, 1)[:, None], lam, out=tail)
             tail += np.where(misses_z, m + 1, np.where(l1 != 0, m + 1 + m * b, 1))[:, None]
-            tail += F.add_table[p[:, None], F.mul_table[lam, q[:, None]]]
+            tail += F.vadd(p[:, None], F.vmul(lam, q[:, None]))
         out.flags.writeable = False
         return out
 
 
 def span(F: GF, P, Q):
     """Representatives of the n+1 points of the line PQ, not normalised: a
-    (..., n+1, d+1) array in the field's table dtype holding Q, then
+    (..., n+1, d+1) array in the field's dtype holding Q, then
     P + lambda*Q for every lambda in F.  P and Q are (..., d+1) arrays of
     field elements and broadcast against each other, so a batch of point
     pairs gives a batch of lines."""
-    m = F.order
-    dt = F.add_table.dtype
     # C order: a slice of a coordinate-major array would make every
     # temporary below strided
-    P, Q = np.ascontiguousarray(P, dtype=dt), np.ascontiguousarray(Q, dtype=dt)
+    P, Q = np.ascontiguousarray(P, dtype=F.dtype), np.ascontiguousarray(Q, dtype=F.dtype)
     shape = np.broadcast_shapes(P.shape, Q.shape)
-    out = np.empty(shape[:-1] + (m + 1, shape[-1]), dtype=dt)
+    out = np.empty(shape[:-1] + (F.order + 1, shape[-1]), dtype=F.dtype)
     out[..., 0, :] = Q
-    lam_q = F.mul_table[np.arange(m)[:, None], Q[..., None, :]]
-    out[..., 1:, :] = F.add_table.ravel()[F.row_offsets(P)[..., None, :] + lam_q]
+    lam = np.arange(F.order)[:, None]
+    out[..., 1:, :] = F.vadd(P[..., None, :], F.vmul(lam, Q[..., None, :]))
     return out
 
 
-def point_array(m: int, d: int):
-    """(npoints, d+1) array of the normalised points of PG(d,m) in canonical
-    order: the transpose of a coordinate-major (d+1, npoints) array, so that
-    each coordinate is one contiguous row.
+def point_array(F: GF, d: int):
+    """(npoints, d+1) array, in F.dtype, of the normalised points of PG(d,m),
+    m = F.order, in canonical order: the transpose of a coordinate-major
+    (d+1, npoints) array, so that each coordinate is one contiguous row.
 
     The points whose leading one sits at position i form the block at
     offset (m^(d-i) - 1)/(m - 1), which counts the later coordinates in
@@ -197,7 +193,7 @@ def point_array(m: int, d: int):
     each digit m^(d-t) times, period m^(d-t+1), which divides the size of
     every later block.  The first period is written and then copied over
     the rest of the row, doubling the written part each time."""
-    dt = np.uint8 if m <= 256 else np.uint16
+    m, dt = F.order, F.dtype
     out = np.empty((d + 1, (m ** (d + 1) - 1) // (m - 1)), dtype=dt)
     for t, row in enumerate(out):
         start, run = (m ** (d - t) - 1) // (m - 1), m ** (d - t)
@@ -290,24 +286,9 @@ class PointSet:
     def card(self) -> int:
         return int(np.count_nonzero(self.member))
 
-    def __len__(self):
-        return self.card
-
     def indices(self):
         """Indices of the points in the set, ascending, as Python ints."""
         return np.flatnonzero(self.member).tolist()
-
-    def __iter__(self):
-        return iter(self.indices())
-
-    def __or__(self, other):
-        return PointSet(self.space, self.member | other.member)
-
-    def __and__(self, other):
-        return PointSet(self.space, self.member & other.member)
-
-    def __sub__(self, other):
-        return PointSet(self.space, self.member & ~other.member)
 
     def __eq__(self, other):
         return (

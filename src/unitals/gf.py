@@ -6,7 +6,8 @@ element and 1 is the one element.  A ``GF`` instance is immutable after
 construction and all operations are pure functions of their arguments.
 
 For small fields (order <= ``TABLE_LIMIT``) dense numpy operation tables
-are available for vectorised sweeps, each built on first use.
+are built on first use, and ``vadd`` and ``vmul`` add and multiply arrays
+of elements, in the field's ``dtype``, with one gather from them each.
 """
 
 from functools import lru_cache
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 TABLE_LIMIT = 4096  # largest order for which dense m x m numpy tables are built
+_INT = (int, np.integer)
 
 
 def is_prime(n: int) -> bool:
@@ -124,6 +126,7 @@ class GF:
         self.p = p
         self.h = h
         self.order = p**h
+        self.dtype = np.dtype(np.uint8 if self.order <= 256 else np.uint16)  # of every array of elements
         self.modulus = modulus
         self._build_tables()
 
@@ -273,16 +276,41 @@ class GF:
 
     # -- dense numpy tables for vectorised sweeps -------------------------------
 
-    def _dtype(self):
-        return np.uint8 if self.order <= 256 else np.uint16
-
     def row_offsets(self, a):
         """a*order for an array a of field elements, in the narrowest
         unsigned dtype that holds every index below order^2: the offset of
         row a in an order x order table's ``ravel()``, where table[a, b]
-        sits at a*order + b.  A flat gather on such narrow indices runs
-        about 3x faster than the 2-D table[a, b]."""
+        sits at a*order + b, as ``vadd`` and ``vmul`` read it.  On large
+        arrays a flat gather at such narrow indices ran about 3x faster
+        than the 2-D table[a, b]."""
         return a.astype(np.uint16 if self.order <= 256 else np.uint32) * self.order
+
+    def vadd(self, a, b):
+        """a + b elementwise over ints or broadcasting arrays of elements."""
+        try:
+            flat = self._add_flat
+        except AttributeError:
+            flat = self._add_flat = self.add_table.ravel()
+        return self._gather(flat, a, b)
+
+    def vmul(self, a, b):
+        """a * b elementwise over ints or broadcasting arrays of elements."""
+        try:
+            flat = self._mul_flat
+        except AttributeError:
+            flat = self._mul_flat = self.mul_table.ravel()
+        return self._gather(flat, a, b)
+
+    def _gather(self, flat, a, b):
+        """flat[a*order + b] from the flat view, a plain attribute (a property
+        read costs a hasattr and a getattr), of a commutative operation's
+        table; an int operand reads its own row.  No entry is range-checked."""
+        if isinstance(b, _INT):
+            a, b = b, a
+        if isinstance(a, _INT):
+            lo = int(a) * self.order
+            return flat[lo : lo + self.order][b]
+        return flat[self.row_offsets(a) + b]
 
     @_built_on_first_use
     def add_table(self):
@@ -293,7 +321,7 @@ class GF:
         for k in range(self.h):
             d = idx // self.p**k % self.p
             out += (d[:, None] + d[None, :]) % self.p * self.p**k
-        return out.astype(self._dtype())
+        return out.astype(self.dtype)
 
     @_built_on_first_use
     def mul_table(self):
@@ -314,16 +342,16 @@ class GF:
     @_built_on_first_use
     def exp_table(self):
         """generator**k for k in 0..order-2."""
-        return np.array(self._exp, dtype=self._dtype())
+        return np.array(self._exp, dtype=self.dtype)
 
     @_built_on_first_use
     def inv_table(self):
         """Inverse of every element, with 0 mapped to 0."""
-        return np.array([0] + [self.inv(a) for a in self.units()], dtype=self._dtype())
+        return np.array([0] + [self.inv(a) for a in self.units()], dtype=self.dtype)
 
     @_built_on_first_use
     def neg_table(self):
-        return np.array(self._neg, dtype=self._dtype())
+        return np.array(self._neg, dtype=self.dtype)
 
     @_built_on_first_use
     def character_table(self):

@@ -33,9 +33,9 @@ def hermitian_unital(F: GF) -> PointSet:
     x^(q+1) + y^(q+1) + z^(q+1) = 0."""
     q = unital_q(F)
     plane = projective_plane(F)
-    norm = np.array([F.pow(e, q + 1) for e in F.elements()])
+    norm = np.array([F.pow(e, q + 1) for e in F.elements()], dtype=F.dtype)
     x, y, z = norm[plane.coords_array().T]
-    return PointSet(plane, F.add_table[F.add_table[x, y], z] == 0)
+    return PointSet(plane, F.vadd(F.vadd(x, y), z) == 0)
 
 
 def behs_unital(F: GF, t: int | None = None):

@@ -53,11 +53,6 @@ def _apex_line_meets(F: GF, V, c, d):
     otherwise its normalised entries key the image.  For a pair with one
     key, w2 = g*w1 with g = lead(w2)/lead(w1), so v2 - g*v1 lies in <c, d>
     with d-coefficient b2 - g*b1, and the meet is v2 - (b2 - g*b1)*d."""
-    mul, mulf, addf = F.mul_table, F.mul_table.ravel(), F.add_table.ravel()
-
-    def lin(x, s, y, t):
-        # s*x + t*y over F, for arrays x, y and scalars s, t
-        return addf[F.row_offsets(mul[s][x]) + mul[t][y]]
 
     def minor(k, l):
         return F.sub(F.mul(c[k], d[l]), F.mul(c[l], d[k]))
@@ -65,20 +60,15 @@ def _apex_line_meets(F: GF, V, c, d):
     i, j = next((i, j) for i, j in combinations(range(6), 2) if minor(i, j))
     e = F.inv(minor(i, j))
     # Cramer on columns i and j: b = e*(c_i v_j - c_j v_i), and
-    # w_k = v_k - a*c_k - b*d_k = v_k - e*minor(k, j)*v_i + e*minor(k, i)*v_j
-    W = np.stack(
-        [
-            addf[F.row_offsets(V[:, k]) + lin(V[:, i], F.neg(F.mul(e, minor(k, j))), V[:, j], F.mul(e, minor(k, i)))]
-            for k in range(6)
-            if k not in (i, j)
-        ],
-        axis=1,
-    )
+    # w_k = v_k - a*c_k - b*d_k = v_k + e*minor(j, k)*v_i + e*minor(k, i)*v_j
+    ks = [k for k in range(6) if k not in (i, j)]
+    s, t = np.array([F.mul(e, minor(j, k)) for k in ks]), np.array([F.mul(e, minor(k, i)) for k in ks])
+    W = F.vadd(V[:, ks], F.vadd(F.vmul(s, V[:, [i]]), F.vmul(t, V[:, [j]])))
     off = np.flatnonzero(W.any(axis=1))
     V, W = V[off], W[off]
     lead = W[np.arange(len(W)), (W != 0).argmax(axis=1)]
     inv_lead = F.inv_table[lead]
-    key = mulf[F.row_offsets(inv_lead)[:, None] + W] @ F.order ** np.arange(3, -1, -1, dtype=np.int64)
+    key = F.vmul(inv_lead[:, None], W) @ F.order ** np.arange(3, -1, -1, dtype=np.int64)
     order = np.argsort(key)
     key = key[order]
     repeated = np.zeros(len(key), dtype=bool)
@@ -95,11 +85,11 @@ def _apex_line_meets(F: GF, V, c, d):
         v1 += [rows[r], rows[r + o]]
         v2 += [rows[r + o], rows[r]]
     v1, v2 = np.concatenate(v1), np.concatenate(v2)
-    g = mulf[F.row_offsets(lead[v2]) + inv_lead[v1]]
+    g = F.vmul(lead[v2], inv_lead[v1])
     ci, cj = F.mul(e, c[i]), F.neg(F.mul(e, c[j]))
-    b1, b2 = lin(V[v1, j], ci, V[v1, i], cj), lin(V[v2, j], ci, V[v2, i], cj)
-    b = addf[F.row_offsets(b2) + F.neg_table[mulf[F.row_offsets(g) + b1]]]
-    return addf[F.row_offsets(V[v2]) + mul[b[:, None], F.neg_table[list(d)]]]
+    b1, b2 = (F.vadd(F.vmul(ci, V[v, j]), F.vmul(cj, V[v, i])) for v in (v1, v2))
+    b = F.vadd(b2, F.neg_table[F.vmul(g, b1)])
+    return F.vadd(V[v2], F.vmul(b[:, None], F.neg_table[list(d)]))
 
 
 def cone_residual_intersection(C: Conic, partners):
@@ -123,7 +113,7 @@ def cone_residual_intersection(C: Conic, partners):
     if F.p != 2 and any(E.rank() != 3 for E in [C, *partners]):
         raise ValueError("residual intersection needs irreducible conics")
     space = projective_space(F, 5)
-    V = quadratic_rows(F, point_array(F.order, 2))
+    V = quadratic_rows(F, point_array(F, 2))
     out = []
     for D in partners:
         X = _apex_line_meets(F, V, C.coeffs, D.coeffs)

@@ -126,7 +126,7 @@ def transform_points(plane, M, pts: PointSet) -> PointSet:
     """The image of a point set of PG(2,n) under x -> Mx."""
     if det3(plane.field, M) == 0:
         raise ValueError("transform needs an invertible matrix")
-    return PointSet.from_indices(plane, [point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in pts])
+    return PointSet.from_indices(plane, [point_index(plane, apply_collineation(plane, M, plane.point(i))) for i in pts.indices()])
 
 
 def line_through(plane, P, Q):
@@ -180,7 +180,7 @@ def is_oval(C: Conic) -> bool:
 def veronese_indices(F: GF):
     """Sorted, read-only int64 array of the PG(5,n) indices of the Veronese
     surface (one per plane point)."""
-    rows = quadratic_rows(F, point_array(F.order, 2))
+    rows = quadratic_rows(F, point_array(F, 2))
     idx = np.sort(projective_space(F, 5).index_rows(rows))
     idx.flags.writeable = False
     return idx
@@ -197,7 +197,7 @@ def cone_point_indices(C: Conic):
     only when v is the apex's own point, so zero rows occur, and are
     dropped, only for a rank-1 apex, a point of V."""
     F = C.field
-    V = quadratic_rows(F, point_array(F.order, 2))
+    V = quadratic_rows(F, point_array(F, 2))
     rows = span(F, V, C.coeffs).reshape(-1, 6)
     if rank1_rows(F, np.array(C.coeffs)):
         rows = rows[rows.any(axis=1)]

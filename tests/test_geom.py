@@ -220,13 +220,10 @@ def test_pointset_operations():
     plane = projective_plane(field(3))
     A = PointSet.from_indices(plane, [0, 3, 5])
     B = PointSet.from_indices(plane, [3, 7])
-    assert A.card == 3 and len(A) == 3
+    assert A.card == 3
     assert A.member[3] and not A.member[1]
-    assert (A | B).indices() == [0, 3, 5, 7]
-    assert (A & B).indices() == [3]
-    assert (A - B).indices() == [0, 5]
-    assert A.complement().card == 10
-    assert list(A) == [0, 3, 5]
+    assert A.indices() == [0, 3, 5]
+    assert A.complement().card == 10 and A.complement().indices()[:3] == [1, 2, 4]
     assert A == PointSet.from_indices(plane, [5, 0, 3, 0]) and A != B
     with pytest.raises(ValueError):
         A.member[1] = True
@@ -416,9 +413,10 @@ def test_coordinates_indices_and_rows_round_trip(round_trip_spaces, key, data):
 def test_point_array_peaks_at_its_own_size():
     # each coordinate row is written in place: PG(5,16), a 6.7 MB array,
     # allocates almost nothing besides it
+    F = field(2, 4)
     tracemalloc.start()
     try:
-        arr = point_array(16, 5)
+        arr = point_array(F, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -221,6 +221,41 @@ def test_row_offsets_index_the_flat_tables(p, h, dtype):
     idx = offsets[:, None] + elems
     assert idx.ravel().tolist() == list(range(F.order**2))
     assert np.array_equal(F.add_table.ravel()[idx], F.add_table)
+    # the kernels read every entry of both tables at these offsets
+    assert np.array_equal(F.vadd(elems[:, None], elems), F.add_table)
+    assert np.array_equal(F.vmul(elems[:, None], elems), F.mul_table)
+
+
+# orders 2 to 256 in both characteristics, and 289, where the row offsets
+# widen from uint16 to uint32
+_KERNEL_FIELDS = [field(*spec) for spec in TABLE_FIELDS] + [field(17, 2)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(_KERNEL_FIELDS), st.sampled_from(["vadd", "vmul"]), st.data())
+def test_vector_kernels_match_scalar_ops(F, op, data):
+    scalar = {"vadd": F.add, "vmul": F.mul}[op]
+    shape = data.draw(st.lists(st.integers(1, 4), max_size=3))
+    dtypes = ([np.uint8] if F.order <= 256 else []) + [np.uint16, np.int32, np.int64]
+
+    def operand():
+        # an int, Python's or numpy's, or an array of any integer dtype
+        # holding the elements, on a shape that broadcasts against shape:
+        # leading axes dropped and any axis of length 1
+        kind = data.draw(st.sampled_from(["int", "numpy int", "array"]))
+        if kind != "array":
+            e = data.draw(st.integers(0, F.order - 1))
+            return e if kind == "int" else data.draw(st.sampled_from(dtypes))(e)
+        own = [data.draw(st.sampled_from([n, 1])) for n in shape[data.draw(st.integers(0, len(shape))) :]]
+        entries = data.draw(st.lists(st.integers(0, F.order - 1), min_size=int(np.prod(own)), max_size=int(np.prod(own))))
+        return np.array(entries, dtype=data.draw(st.sampled_from(dtypes))).reshape(own)
+
+    a, b = operand(), operand()
+    got = getattr(F, op)(a, b)
+    pairs = np.broadcast(a, b)
+    assert got.dtype == F.dtype
+    assert np.shape(got) == pairs.shape
+    assert np.ravel(got).tolist() == [scalar(int(x), int(y)) for x, y in pairs]
 
 
 def test_nullspace():

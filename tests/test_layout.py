@@ -128,3 +128,33 @@ def test_every_defaulted_parameter_is_passed_in_the_library():
         if qualname != "main" and not passed(called, param, position)
     ]
     assert unpassed == [], f"defaulted parameters that no call in src/unitals passes: {unpassed}"
+
+
+# the field's dense tables and their flat-index rule are read in gf alone,
+# whose vadd and vmul do the arithmetic on arrays; analysis reads them only
+# to build the pencil search's derived log tables and to index those
+TABLE_ATTRIBUTES = {"add_table", "mul_table", "row_offsets"}
+TABLE_BUILDERS = {"analysis.py:_log_tables", "analysis.py:_line_values"}
+
+
+def _table_reads(name, tree):
+    """module:function:line attribute of every read of a table attribute
+    in a module, by the top-level function or method it sits in ("-"
+    outside any)."""
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            scope = item.name if isinstance(item, ast.FunctionDef) else "-"
+            for n in ast.walk(item):
+                if isinstance(n, ast.Attribute) and n.attr in TABLE_ATTRIBUTES:
+                    yield f"{name}:{scope}:{n.lineno} {n.attr}"
+
+
+def test_field_tables_are_read_in_gf_alone():
+    reads = [
+        read
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "gf.py"
+        for read in _table_reads(p.name, ast.parse(p.read_text()))
+        if read.rsplit(":", 1)[0] not in TABLE_BUILDERS
+    ]
+    assert reads == [], f"field tables read outside gf; use GF.vadd and GF.vmul: {reads}"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from unitals.conic import PencilKind, canonical_pencil
@@ -64,7 +65,7 @@ def test_behs_structure():
     # pairwise intersections are exactly the common base point
     for i in range(len(conics)):
         for j in range(i + 1, len(conics)):
-            assert (conics[i].points() & conics[j].points()).indices() == [base]
+            assert np.intersect1d(conics[i].point_indices(), conics[j].point_indices()).tolist() == [base]
     # the parameter a = 0 member 2yz = x^2 is always present
     assert canonical_pencil(F, PencilKind.PARABOLIC, 0) in conics
     # every pencil through a pair contains the repeated line z^2 = 0
