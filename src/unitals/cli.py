@@ -41,7 +41,7 @@ import numpy as np
 from . import analysis, gf, veronese
 from .conic import Conic, PencilKind, canonical_pencil
 from .geom import PointSet, projective_plane, projective_space, tangent_counts
-from .gf import GF, is_prime
+from .gf import GF
 from .unital import behs_unital, hermitian_unital, is_unital, tangent_structure, unital_q
 
 
@@ -52,7 +52,7 @@ def _prime_power(n: int):
             while rest % p == 0:
                 rest //= p
                 e += 1
-            if rest != 1 or not is_prime(p):
+            if rest != 1:
                 raise ValueError(f"{n} is not a prime power")
             return p, e
     raise ValueError("order must be at least 2")
@@ -65,6 +65,7 @@ def _conic_arg(F: GF, text: str, option: str) -> Conic:
 def field_from_args(args) -> GF:
     modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
     if args.q is not None:
+        gf.check_order(args.q, 2)
         p, e = _prime_power(args.q)
         return gf.field(p, 2 * e, modulus)
     if args.p is not None:
@@ -270,38 +271,32 @@ def run_cone_residual_case(F: GF, case: int, k: int | None, full: bool) -> dict:
 
 def run_main_claim(F: GF) -> dict:
     """Union-of-conics certificates: the Hermitian unital holds no conic,
-    and for odd q the BEHS unital holds exactly its q construction conics.
-    Each list comes from the pencil search, checked by the exhaustive
-    sweep up to plane order 25."""
+    and for odd q the BEHS unital holds exactly its q construction conics,
+    each list found by the certificate's pencil search."""
     q = unital_q(F)
     out = {"claim": "main", "field": F.describe(), "q": q}
-    cross = F.order <= 25
     H = hermitian_unital(F)
     cert_h = analysis.certify_union_of_conics(H)
     got_h = cert_h.conics
-    cross_h = analysis.conics_contained(H, method="exhaustive") == got_h if cross else None
     hermitian = {
         "cardinality": H.card,
         "conics_contained": len(got_h),
-        "exhaustive_cross_check": cross_h,
         "covered": cert_h.covered,
     }
-    ok = not got_h and not cert_h.covered and cross_h in (None, True)
+    ok = not got_h and not cert_h.covered
     if q % 2:
         B, bconics = behs_unital(F)
         cert_b = analysis.certify_union_of_conics(B)
         got = cert_b.conics
         behs_exact = sorted(C.coeffs for C in got) == sorted(C.coeffs for C in bconics)
-        cross_b = analysis.conics_contained(B, method="exhaustive") == got if cross else None
         out["behs"] = {
             "cardinality": B.card,
             "construction_conics": len(bconics),
             "conics_contained": len(got),
             "matches_construction": behs_exact,
-            "exhaustive_cross_check": cross_b,
             "certificate": cert_b,
         }
-        ok = ok and behs_exact and cert_b.signature == "BEHS" and cross_b in (None, True)
+        ok = ok and behs_exact and cert_b.signature == "BEHS"
     out["hermitian"] = hermitian
     out["ok"] = ok
     return out

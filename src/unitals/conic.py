@@ -25,15 +25,14 @@ class PencilKind(enum.Enum):
 
 
 # symmetric matrix from a 6-tuple q: rows ((q0,q3,q4),(q3,q1,q5),(q4,q5,q2));
-# the six distinct 2x2 minors as index quadruples (i,j,k,l) meaning
-# q_i*q_j == q_k*q_l
+# 2x2 minors as index quadruples (i,j,k,l) meaning q_i*q_j == q_k*q_l.  These
+# four imply q1*q4 == q3*q5 and q2*q3 == q4*q5 in every characteristic: q0 != 0
+# gives q1, q2, q5 = q3^2/q0, q4^2/q0, q3*q4/q0; q0 == 0 forces q3 = q4 = 0
 _MINOR_PAIRS = (
     (0, 1, 3, 3),
     (0, 2, 4, 4),
     (1, 2, 5, 5),
     (0, 5, 3, 4),
-    (1, 4, 3, 5),
-    (2, 3, 4, 5),
 )
 
 

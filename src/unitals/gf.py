@@ -18,6 +18,12 @@ TABLE_LIMIT = 4096  # largest order for which dense m x m numpy tables are built
 _INT = (int, np.integer)
 
 
+def check_order(p: int, h: int) -> None:
+    """Refuse the order p^h past the 2^16 table budget, before any factoring."""
+    if p > 1 and (h > 16 or p**h > 1 << 16):  # any p > 1 exceeds it when h > 16
+        raise ValueError(f"order {p}^{h} exceeds the 2^16 table budget")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -106,12 +112,11 @@ class GF:
     """The finite field GF(p^h) with a fixed modulus and primitive element."""
 
     def __init__(self, p: int, h: int = 1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if h < 1:
             raise ValueError("exponent must be positive")
-        if p**h > 2**16:
-            raise ValueError(f"order {p**h} exceeds the 2^16 table budget")
+        check_order(p, h)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if modulus is None:
             modulus = default_modulus(p, h)
         else:

@@ -170,9 +170,10 @@ def test_criterion_7_main_theorem_desk_scale():
     got5 = conics_contained(U5, method="pencil")
     ok &= sorted(C.coeffs for C in got5) == sorted(C.coeffs for C in conics5)
     ok &= got5 == conics_contained(U5, method="exhaustive")
-    ok &= conics_contained(hermitian_unital(F25), method="pencil") == []
+    H5 = hermitian_unital(F25)
+    ok &= conics_contained(H5, method="pencil") == conics_contained(H5, method="exhaustive") == []
     ok &= certify_union_of_conics(U5).signature == "BEHS"
-    ok &= not certify_union_of_conics(hermitian_unital(F25)).covered
+    ok &= not certify_union_of_conics(H5).covered
     # q in {2,4}: the nucleus obstruction; the certificate's pencil search
     # against the exhaustive oracle
     for p, h in ((2, 2), (2, 4)):

@@ -449,11 +449,13 @@ def test_coefficients_are_python_ints():
 
 
 def test_rank1_rows_matches_scalar_on_pg59():
-    F = field(3, 2)
-    pts = projective_space(F, 5).coords_array()
-    want = [symmetric_rank_leq1(F, q) for q in pts.tolist()]
-    assert rank1_rows(F, pts).tolist() == want
-    assert sum(want) == projective_plane(F).npoints
+    # every point of PG(5,4), in characteristic 2, and of PG(5,9), whose
+    # points the checks below reuse
+    for F in (field(2, 2), field(3, 2)):
+        pts = projective_space(F, 5).coords_array()
+        want = [symmetric_rank_leq1(F, q) for q in pts.tolist()]
+        assert rank1_rows(F, pts).tolist() == want
+        assert sum(want) == projective_plane(F).npoints
     # any leading shape, and the zero row
     assert rank1_rows(F, pts[:60].reshape(3, 4, 5, 6)).ravel().tolist() == want[:60]
     assert rank1_rows(F, np.zeros((1, 6), dtype=np.uint8)).tolist() == [False]

@@ -49,6 +49,8 @@ def test_construction_basic():
 def test_construction_errors():
     with pytest.raises(ValueError, match="6 is not prime"):
         GF(6, 1)
+    with pytest.raises(ValueError, match="1 is not prime"):
+        GF(1, 20)  # not read as an order past the table budget
     with pytest.raises(ValueError, match=r"factors over GF\(3\)"):
         GF(3, 2, (0, 2, 1))  # x^2 + 2x = x(x+2)
     with pytest.raises(ValueError, match="modulus must be monic of degree 2"):
